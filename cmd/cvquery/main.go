@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/samplers"
 	"repro/internal/sqlparse"
 	"repro/internal/table"
@@ -99,13 +100,13 @@ func main() {
 		for i := range rows {
 			rows[i] = int32(i)
 		}
-		approx, err := exec.RunWeighted(tbl, q, rows, wcol.Float)
+		approx, err := plan.Run(tbl, q, rows, wcol.Float)
 		fatalIf(err)
 		printResult(fmt.Sprintf("approximate (materialized sample, %d rows)", tbl.NumRows()), approx)
 		return
 	}
 
-	exact, err := exec.Run(tbl, q)
+	exact, err := plan.Run(tbl, q, nil, nil)
 	fatalIf(err)
 	printResult("exact ("+fmt.Sprint(tbl.NumRows())+" rows)", exact)
 
@@ -144,7 +145,7 @@ func main() {
 		rng := rand.New(rand.NewSource(*seed))
 		rs, err := (&samplers.CVOPT{}).Build(tbl, []core.QuerySpec{spec}, m, rng)
 		fatalIf(err)
-		approx, err := exec.RunWeighted(tbl, q, rs.Rows, rs.Weights)
+		approx, err := plan.Run(tbl, q, rs.Rows, rs.Weights)
 		fatalIf(err)
 		printResult(fmt.Sprintf("approximate (CVOPT, %d rows = %.3g%%)", rs.Len(), *rate*100), approx)
 		sum := metrics.Summarize(metrics.GroupErrors(exact, approx))

@@ -13,12 +13,11 @@ import (
 	"log"
 	"math/rand"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/samplers"
-	"repro/internal/sqlparse"
 )
 
 func main() {
@@ -62,18 +61,14 @@ func main() {
 	}
 	fmt.Println("  (max group error)")
 	for label, sql := range queries {
-		q, err := sqlparse.Parse(sql)
-		if err != nil {
-			log.Fatal(err)
-		}
-		exact, err := exec.Run(tbl, q)
+		exact, err := repro.Exact(tbl, sql)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-22s", label)
 		for _, s := range methods {
 			rs := built[s.Name()]
-			approx, err := exec.RunWeighted(tbl, q, rs.Rows, rs.Weights)
+			approx, err := repro.Answer(tbl, rs, sql)
 			if err != nil {
 				log.Fatal(err)
 			}

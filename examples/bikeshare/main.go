@@ -13,9 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/datagen"
-	"repro/internal/exec"
 	"repro/internal/metrics"
-	"repro/internal/sqlparse"
 )
 
 func main() {
@@ -26,11 +24,7 @@ func main() {
 	fmt.Printf("synthetic Bikes: %d rows, %d stations\n\n", tbl.NumRows(), 619)
 
 	sql := "SELECT from_station_id, AVG(age) AS agg1, AVG(trip_duration) AS agg2 FROM Bikes WHERE age > 0 GROUP BY from_station_id"
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exact, err := exec.Run(tbl, q)
+	exact, err := repro.Exact(tbl, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		approx, err := exec.RunWeighted(tbl, q, s.Rows, s.Weights)
+		approx, err := repro.Answer(tbl, s, sql)
 		if err != nil {
 			log.Fatal(err)
 		}

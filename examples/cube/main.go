@@ -13,9 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/datagen"
-	"repro/internal/exec"
 	"repro/internal/metrics"
-	"repro/internal/sqlparse"
 )
 
 func main() {
@@ -39,15 +37,11 @@ func main() {
 	fmt.Printf("materialized %d rows (1%%)\n\n", s.Len())
 
 	sql := "SELECT country, parameter, SUM(value) FROM OpenAQ GROUP BY country, parameter WITH CUBE"
-	q, err := sqlparse.Parse(sql)
+	exact, err := repro.Exact(tbl, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exact, err := exec.Run(tbl, q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	approx, err := exec.RunWeighted(tbl, q, s.Rows, s.Weights)
+	approx, err := repro.Answer(tbl, s, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +49,7 @@ func main() {
 	// errors per grouping set
 	fmt.Printf("%-24s %8s %12s %12s\n", "grouping set", "groups", "mean err", "max err")
 	for setIdx, attrs := range exact.Sets {
-		var exSet, apSet exec.Result
+		var exSet, apSet repro.Result
 		for _, r := range exact.Rows {
 			if r.Set == setIdx {
 				exSet.Rows = append(exSet.Rows, r)

@@ -16,8 +16,6 @@ import (
 
 	"repro"
 	"repro/internal/datagen"
-	"repro/internal/exec"
-	"repro/internal/sqlparse"
 )
 
 func main() {
@@ -69,15 +67,11 @@ func main() {
 		log.Fatal(err)
 	}
 	sql := "SELECT country, AVG(value) FROM OpenAQ GROUP BY country"
-	q, err := sqlparse.Parse(sql)
+	exact, err := repro.Exact(tbl, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exact, err := exec.Run(tbl, q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	approx, err := exec.RunWeighted(tbl, q, s.Rows, s.Weights)
+	approx, err := repro.Answer(tbl, s, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

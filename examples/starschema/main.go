@@ -15,8 +15,6 @@ import (
 	"math/rand"
 
 	"repro"
-	"repro/internal/exec"
-	"repro/internal/sqlparse"
 	"repro/internal/table"
 )
 
@@ -90,22 +88,17 @@ func main() {
 	}
 
 	sql := "SELECT station_neighborhood, AVG(duration), COUNT(*) FROM trips_stations GROUP BY station_neighborhood ORDER BY AVG(duration) DESC"
-	q, err := sqlparse.Parse(sql)
+	exact, err := repro.Exact(joined, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
-	exact, err := exec.Run(joined, q)
-	if err != nil {
-		log.Fatal(err)
-	}
-	approx, err := exec.RunWeighted(joined, q, sample.Rows, sample.Weights)
+	approx, err := repro.Answer(joined, sample, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-14s %12s %16s %10s\n", "neighborhood", "exact AVG", "approx AVG ±SE", "rel.err")
-	exIdx := exact.Index()
 	for _, row := range approx.Rows {
-		want := exIdx[exec.KeyOf(row.Set, row.Key)]
+		want, _ := exact.Lookup(row.Set, row.Key)
 		rel := math.Abs(row.Aggs[0]-want[0]) / want[0]
 		fmt.Printf("%-14s %12.1f %10.1f ±%-5.1f %9.2f%%\n",
 			row.Key[0], want[0], row.Aggs[0], row.SE[0], rel*100)

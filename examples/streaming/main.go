@@ -28,9 +28,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/exec"
 	"repro/internal/metrics"
-	"repro/internal/sqlparse"
 	"repro/internal/table"
 )
 
@@ -74,23 +72,18 @@ func main() {
 	fmt.Printf("two-pass:  %d rows sampled\n\n", twoPass.Len())
 
 	sql := "SELECT country, parameter, AVG(value) FROM OpenAQ GROUP BY country, parameter"
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		log.Fatal(err)
-	}
-	exact, err := exec.Run(tbl, q)
+	exact, err := repro.Exact(tbl, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, c := range []struct {
-		name    string
-		rows    []int32
-		weights []float64
+		name   string
+		sample *repro.Sample
 	}{
-		{"one-pass (stream)", sRows, sWeights},
-		{"two-pass (classic)", twoPass.Rows, twoPass.Weights},
+		{"one-pass (stream)", &repro.Sample{Rows: sRows, Weights: sWeights}},
+		{"two-pass (classic)", twoPass},
 	} {
-		approx, err := exec.RunWeighted(tbl, q, c.rows, c.weights)
+		approx, err := repro.Answer(tbl, c.sample, sql)
 		if err != nil {
 			log.Fatal(err)
 		}

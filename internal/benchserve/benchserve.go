@@ -23,9 +23,11 @@ import (
 
 	apiv1 "repro/internal/api/v1"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/ingest"
 	"repro/internal/qos"
 	"repro/internal/serve"
+	"repro/internal/sqlparse"
 	"repro/internal/table"
 )
 
@@ -199,18 +201,20 @@ func Scenarios(ctx context.Context) []Scenario {
 			},
 		},
 		{
-			// the row interpreter on the grouped-aggregate query: the
-			// baseline the compiled plans are measured against
+			// the row interpreter (the test oracle, not a serving path)
+			// on the grouped-aggregate query: the reference the compiled
+			// plans are measured against
 			Name: "exec_interpreted",
 			Run: func(b *testing.B) {
-				reg := newExecReg(b)
-				defer reg.Close()
+				tbl := execTable("benchx")
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := reg.Query(ctx, execSQL, serve.QueryOptions{
-						Mode: serve.ModeExact, Executor: serve.ExecInterpreted,
-					}); err != nil {
+					q, err := sqlparse.Parse(execSQL)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := exec.Run(tbl, q); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/samplers"
 )
 
@@ -29,7 +30,7 @@ func RunAblationLp(cfg Config) error {
 		&samplers.CVOPT{Opts: core.Options{Norm: core.Lp, P: 8}},
 		&samplers.CVOPT{Opts: core.Options{Norm: core.LInf}},
 	}
-	exact, err := exec.Run(openaq, queryAQ3)
+	exact, err := plan.Run(openaq, queryAQ3, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -44,7 +45,7 @@ func RunAblationLp(cfg Config) error {
 			if err != nil {
 				return fmt.Errorf("ablp %s: %w", s.Name(), err)
 			}
-			approx, err := exec.RunWeighted(openaq, queryAQ3, rs.Rows, rs.Weights)
+			approx, err := plan.Run(openaq, queryAQ3, rs.Rows, rs.Weights)
 			if err != nil {
 				return err
 			}
@@ -74,7 +75,7 @@ func RunAblationCap(cfg Config) error {
 	header(cfg.Out, "Ablation: allocation repair (cap+redistribute+floor) on AQ3 strata with tiny groups")
 	q := queryAQ3
 	specs := specAQ3()
-	exact, err := exec.Run(openaq, q)
+	exact, err := plan.Run(openaq, q, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -98,7 +99,7 @@ func RunAblationCap(cfg Config) error {
 				return fmt.Errorf("ablcap %s: %w", mth.label, err)
 			}
 			rowsUsed += float64(rs.Len())
-			approx, err := exec.RunWeighted(openaq, q, rs.Rows, rs.Weights)
+			approx, err := plan.Run(openaq, q, rs.Rows, rs.Weights)
 			if err != nil {
 				return err
 			}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/samplers"
 	"repro/internal/sqlparse"
 	"repro/internal/table"
@@ -33,21 +34,21 @@ func composeAQ1(y18, y17 *exec.Result) map[string][]float64 {
 // aq1Errors evaluates AQ1 on a sample and returns per-(country, output)
 // relative errors against the exact join.
 func aq1Errors(tbl *table.Table, rs *samplers.RowSample) ([]float64, error) {
-	ex18, err := exec.Run(tbl, queryAQ1y18)
+	ex18, err := plan.Run(tbl, queryAQ1y18, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	ex17, err := exec.Run(tbl, queryAQ1y17)
+	ex17, err := plan.Run(tbl, queryAQ1y17, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	exact := composeAQ1(ex18, ex17)
 
-	ap18, err := exec.RunWeighted(tbl, queryAQ1y18, rs.Rows, rs.Weights)
+	ap18, err := plan.Run(tbl, queryAQ1y18, rs.Rows, rs.Weights)
 	if err != nil {
 		return nil, err
 	}
-	ap17, err := exec.RunWeighted(tbl, queryAQ1y17, rs.Rows, rs.Weights)
+	ap17, err := plan.Run(tbl, queryAQ1y17, rs.Rows, rs.Weights)
 	if err != nil {
 		return nil, err
 	}

@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/samplers"
 	"repro/internal/sqlparse"
 	"repro/internal/table"
@@ -111,7 +111,7 @@ func mustParse(sql string) *sqlparse.Query {
 // and averages the error summary against the exact answer.
 func evalCase(tbl *table.Table, specs []core.QuerySpec, q *sqlparse.Query,
 	s samplers.Sampler, m int, reps int, seed int64) (metrics.Summary, error) {
-	exact, err := exec.Run(tbl, q)
+	exact, err := plan.Run(tbl, q, nil, nil)
 	if err != nil {
 		return metrics.Summary{}, err
 	}
@@ -122,7 +122,7 @@ func evalCase(tbl *table.Table, specs []core.QuerySpec, q *sqlparse.Query,
 		if err != nil {
 			return metrics.Summary{}, fmt.Errorf("%s: %w", s.Name(), err)
 		}
-		approx, err := exec.RunWeighted(tbl, q, rs.Rows, rs.Weights)
+		approx, err := plan.Run(tbl, q, rs.Rows, rs.Weights)
 		if err != nil {
 			return metrics.Summary{}, err
 		}
@@ -133,11 +133,11 @@ func evalCase(tbl *table.Table, specs []core.QuerySpec, q *sqlparse.Query,
 
 // evalPrebuilt evaluates a query against an already-built sample.
 func evalPrebuilt(tbl *table.Table, q *sqlparse.Query, rs *samplers.RowSample) (metrics.Summary, error) {
-	exact, err := exec.Run(tbl, q)
+	exact, err := plan.Run(tbl, q, nil, nil)
 	if err != nil {
 		return metrics.Summary{}, err
 	}
-	approx, err := exec.RunWeighted(tbl, q, rs.Rows, rs.Weights)
+	approx, err := plan.Run(tbl, q, rs.Rows, rs.Weights)
 	if err != nil {
 		return metrics.Summary{}, err
 	}

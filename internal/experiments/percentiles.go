@@ -5,8 +5,8 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/samplers"
 	"repro/internal/sqlparse"
 	"repro/internal/table"
@@ -19,7 +19,7 @@ var percentileRanks = []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}
 // distribution's values at percentileRanks, averaged over reps.
 func errorPercentiles(tbl *table.Table, specs []core.QuerySpec, q *sqlparse.Query,
 	s samplers.Sampler, m, reps int, seed int64) ([]float64, error) {
-	exact, err := exec.Run(tbl, q)
+	exact, err := plan.Run(tbl, q, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -30,7 +30,7 @@ func errorPercentiles(tbl *table.Table, specs []core.QuerySpec, q *sqlparse.Quer
 		if err != nil {
 			return nil, err
 		}
-		approx, err := exec.RunWeighted(tbl, q, rs.Rows, rs.Weights)
+		approx, err := plan.Run(tbl, q, rs.Rows, rs.Weights)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
-	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/samplers"
 	"repro/internal/table"
 )
@@ -36,10 +36,10 @@ func RunTable6(cfg Config) error {
 
 	fullQuery := func(tbl *table.Table) (time.Duration, error) {
 		start := time.Now()
-		if _, err := exec.Run(tbl, queryAQ1y18); err != nil {
+		if _, err := plan.Run(tbl, queryAQ1y18, nil, nil); err != nil {
 			return 0, err
 		}
-		if _, err := exec.Run(tbl, queryAQ1y17); err != nil {
+		if _, err := plan.Run(tbl, queryAQ1y17, nil, nil); err != nil {
 			return 0, err
 		}
 		return time.Since(start), nil
@@ -69,10 +69,10 @@ func RunTable6(cfg Config) error {
 			}
 			pre := time.Since(start)
 			start = time.Now()
-			if _, err := exec.RunWeighted(tbl, queryAQ1y18, rs.Rows, rs.Weights); err != nil {
+			if _, err := plan.Run(tbl, queryAQ1y18, rs.Rows, rs.Weights); err != nil {
 				return err
 			}
-			if _, err := exec.RunWeighted(tbl, queryAQ1y17, rs.Rows, rs.Weights); err != nil {
+			if _, err := plan.Run(tbl, queryAQ1y17, rs.Rows, rs.Weights); err != nil {
 				return err
 			}
 			qt := time.Since(start)

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/plan"
 	"repro/internal/samplers"
 	"repro/internal/sqlparse"
 	"repro/internal/table"
@@ -21,7 +21,7 @@ var weightProfiles = [][2]float64{
 // the average error of each aggregate.
 func runWeightedCase(tbl *table.Table, specs []core.QuerySpec, q *sqlparse.Query,
 	m, reps int, seed int64) (err1, err2 float64, err error) {
-	exact, err := exec.Run(tbl, q)
+	exact, err := plan.Run(tbl, q, nil, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -32,7 +32,7 @@ func runWeightedCase(tbl *table.Table, specs []core.QuerySpec, q *sqlparse.Query
 		if err != nil {
 			return 0, 0, err
 		}
-		approx, err := exec.RunWeighted(tbl, q, rs.Rows, rs.Weights)
+		approx, err := plan.Run(tbl, q, rs.Rows, rs.Weights)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -12,8 +12,8 @@ package plan_test
 // columnar executor is required to perform the same float64 operations
 // in the same order as the interpreter.
 //
-// Every generated query must also compile — the generator emits only
-// the plannable subset, so a Compile rejection is a planner
+// Every generated query must also compile: the planner accepts exactly
+// what the interpreter accepts, so a Compile rejection is a planner
 // regression, not a skip.
 
 import (
@@ -125,20 +125,74 @@ func genNumLit(rng *rand.Rand) string {
 	return fmt.Sprintf("%g", v)
 }
 
+// genStrLit emits a string literal, mostly one resident in col's
+// dictionary.
+func genStrLit(rng *rand.Rand, gt *genTable, col string) string {
+	if vs := gt.strVals[col]; len(vs) > 0 && rng.Intn(5) != 0 {
+		return "'" + strings.ReplaceAll(pick(rng, vs), "'", "''") + "'"
+	}
+	return "'zzz-absent'"
+}
+
+// genMixedIF emits an IF with no single static kind — the shapes the
+// planner lowers by distributing the consumer over the branches: one
+// branch is always a string (column or literal), the other a string, a
+// number, a boolean or (depth permitting) another such IF, in either
+// order.
+func genMixedIF(rng *rand.Rand, gt *genTable, depth int) string {
+	col := pick(rng, gt.strCols)
+	a := col
+	if rng.Intn(2) == 0 {
+		a = genStrLit(rng, gt, col)
+	}
+	var b string
+	switch rng.Intn(5) {
+	case 0:
+		b = pick(rng, gt.strCols)
+	case 1:
+		b = genBoolExpr(rng, gt, depth)
+	case 2:
+		if depth > 0 {
+			b = genMixedIF(rng, gt, depth-1)
+			break
+		}
+		fallthrough
+	default:
+		b = genNumExpr(rng, gt, depth)
+	}
+	if rng.Intn(2) == 0 {
+		a, b = b, a
+	}
+	return fmt.Sprintf("IF(%s, %s, %s)", genBoolExpr(rng, gt, depth), a, b)
+}
+
+// genOperand emits a comparison operand of any kind: usually a
+// kind-varying IF, else a number, a string column or a string literal.
+func genOperand(rng *rand.Rand, gt *genTable, depth int) string {
+	switch rng.Intn(6) {
+	case 0:
+		return genNumExpr(rng, gt, depth)
+	case 1:
+		return pick(rng, gt.strCols)
+	case 2:
+		return genStrLit(rng, gt, pick(rng, gt.strCols))
+	default:
+		return genMixedIF(rng, gt, depth)
+	}
+}
+
 // genNumExpr emits a numeric scalar expression. At depth 0 it bottoms
-// out on columns and literals. When allowStr is set, a rare
-// string-column leaf exercises the interpreter's string-in-arithmetic
-// semantics (the value's num field, 0) and the NaN path when it lands
-// directly under an aggregate; IF branches clear it, because a bare
-// string leaf at a branch root makes the branch kinds diverge — the
-// one shape the planner (deliberately) rejects.
-func genNumExpr(rng *rand.Rand, gt *genTable, depth int, allowStr bool) string {
+// out on columns and literals, with a rare string-column leaf for the
+// interpreter's string-in-arithmetic semantics (the value's num field,
+// 0) and the NaN path when it lands directly under an aggregate. Above
+// depth 0 an operand may also be a kind-varying IF.
+func genNumExpr(rng *rand.Rand, gt *genTable, depth int) string {
 	if depth <= 0 || rng.Intn(3) == 0 {
 		switch rng.Intn(8) {
 		case 0:
 			return genNumLit(rng)
 		case 1:
-			if allowStr && len(gt.strCols) > 0 && rng.Intn(10) == 0 {
+			if rng.Intn(10) == 0 {
 				return pick(rng, gt.strCols)
 			}
 			return pick(rng, gt.numCols)
@@ -146,19 +200,21 @@ func genNumExpr(rng *rand.Rand, gt *genTable, depth int, allowStr bool) string {
 			return pick(rng, gt.numCols)
 		}
 	}
-	switch rng.Intn(8) {
+	switch rng.Intn(9) {
 	case 0:
-		return fmt.Sprintf("(-%s)", genNumExpr(rng, gt, depth-1, allowStr))
+		return fmt.Sprintf("(-%s)", genNumExpr(rng, gt, depth-1))
 	case 1:
-		return fmt.Sprintf("ABS(%s)", genNumExpr(rng, gt, depth-1, allowStr))
+		return fmt.Sprintf("ABS(%s)", genNumExpr(rng, gt, depth-1))
 	case 2:
 		return fmt.Sprintf("IF(%s, %s, %s)",
-			genBoolExpr(rng, gt, depth-1, true),
-			genNumExpr(rng, gt, depth-1, false), genNumExpr(rng, gt, depth-1, false))
+			genBoolExpr(rng, gt, depth-1),
+			genNumExpr(rng, gt, depth-1), genNumExpr(rng, gt, depth-1))
+	case 3:
+		return genMixedIF(rng, gt, depth-1)
 	default:
 		op := pick(rng, []string{"+", "-", "*", "/"})
 		return fmt.Sprintf("(%s %s %s)",
-			genNumExpr(rng, gt, depth-1, allowStr), op, genNumExpr(rng, gt, depth-1, allowStr))
+			genNumExpr(rng, gt, depth-1), op, genNumExpr(rng, gt, depth-1))
 	}
 }
 
@@ -166,76 +222,71 @@ var cmpOps = []string{"=", "!=", "<", "<=", ">", ">="}
 
 // genBoolExpr emits a predicate: numeric comparisons, string
 // comparisons against (mostly resident) dictionary values, IN,
-// BETWEEN, boolean combinators, and — rarely — the deliberately odd
-// cases: a mixed-kind comparison (constant-folds) and a bare numeric
-// expression used for its truthiness. allowTruthy gates the latter;
-// IF branches clear it so both branches stay boolean-kinded (a
-// numeric-rooted branch beside a boolean one is the planner's one
-// rejection shape).
-func genBoolExpr(rng *rand.Rand, gt *genTable, depth int, allowTruthy bool) string {
+// BETWEEN, boolean combinators, and the deliberately odd cases: a
+// mixed-kind comparison (constant-folds), a bare numeric expression or
+// kind-varying IF used for its truthiness, and comparisons, IN lists
+// and BETWEEN bounds over operands of any kind.
+func genBoolExpr(rng *rand.Rand, gt *genTable, depth int) string {
 	if depth <= 0 || rng.Intn(3) == 0 {
 		switch rng.Intn(10) {
 		case 0, 1, 2:
-			if len(gt.strCols) > 0 {
-				col := pick(rng, gt.strCols)
-				lit := "'zzz-absent'"
-				if vs := gt.strVals[col]; len(vs) > 0 && rng.Intn(5) != 0 {
-					lit = "'" + strings.ReplaceAll(pick(rng, vs), "'", "''") + "'"
-				}
-				return fmt.Sprintf("(%s %s %s)", col, pick(rng, cmpOps), lit)
-			}
-			fallthrough
+			col := pick(rng, gt.strCols)
+			return fmt.Sprintf("(%s %s %s)", col, pick(rng, cmpOps), genStrLit(rng, gt, col))
 		case 3:
-			if len(gt.strCols) > 0 {
-				col := pick(rng, gt.strCols)
-				var items []string
-				for i, vs := 0, gt.strVals[col]; i < 1+rng.Intn(3) && len(vs) > 0; i++ {
-					items = append(items, "'"+strings.ReplaceAll(pick(rng, vs), "'", "''")+"'")
-				}
-				if len(items) > 0 {
-					return fmt.Sprintf("(%s IN (%s))", col, strings.Join(items, ", "))
-				}
+			col := pick(rng, gt.strCols)
+			items := make([]string, 1+rng.Intn(3))
+			for i := range items {
+				items[i] = genStrLit(rng, gt, col)
 			}
-			fallthrough
+			return fmt.Sprintf("(%s IN (%s))", col, strings.Join(items, ", "))
 		case 4:
 			lo := rng.Intn(40)
 			return fmt.Sprintf("(%s BETWEEN %d AND %d)", pick(rng, gt.numCols), lo, lo+rng.Intn(60))
 		case 5:
-			if rng.Intn(4) == 0 && len(gt.strCols) > 0 {
+			if rng.Intn(4) == 0 {
 				// mixed-kind comparison: constant-folds in the planner,
 				// NaN-compares in the interpreter — must agree
 				return fmt.Sprintf("(%s %s %s)", pick(rng, gt.strCols), pick(rng, cmpOps), genNumLit(rng))
 			}
 			fallthrough
 		case 6:
-			if len(gt.strCols) >= 2 {
-				// string column vs column: lexicographic per row
-				return fmt.Sprintf("(%s %s %s)",
-					pick(rng, gt.strCols), pick(rng, cmpOps), pick(rng, gt.strCols))
-			}
-			fallthrough
+			// string column vs column: lexicographic per row
+			return fmt.Sprintf("(%s %s %s)",
+				pick(rng, gt.strCols), pick(rng, cmpOps), pick(rng, gt.strCols))
 		default:
 			return fmt.Sprintf("(%s %s %s)",
-				genNumExpr(rng, gt, 0, true), pick(rng, cmpOps), genNumExpr(rng, gt, 0, true))
+				genNumExpr(rng, gt, 0), pick(rng, cmpOps), genNumExpr(rng, gt, 0))
 		}
 	}
-	switch rng.Intn(6) {
+	switch rng.Intn(9) {
 	case 0:
-		return fmt.Sprintf("(NOT %s)", genBoolExpr(rng, gt, depth-1, allowTruthy))
+		return fmt.Sprintf("(NOT %s)", genBoolExpr(rng, gt, depth-1))
 	case 1:
-		if allowTruthy {
-			// numeric truthiness: WHERE x means WHERE x != 0
-			return genNumExpr(rng, gt, depth-1, true)
+		// truthiness: WHERE x means WHERE x != 0 (x != '' for strings)
+		if rng.Intn(2) == 0 {
+			return genMixedIF(rng, gt, depth-1)
 		}
-		fallthrough
+		return genNumExpr(rng, gt, depth-1)
 	case 2:
 		return fmt.Sprintf("IF(%s, %s, %s)",
-			genBoolExpr(rng, gt, depth-1, true),
-			genBoolExpr(rng, gt, depth-1, false), genBoolExpr(rng, gt, depth-1, false))
+			genBoolExpr(rng, gt, depth-1),
+			genBoolExpr(rng, gt, depth-1), genBoolExpr(rng, gt, depth-1))
+	case 3:
+		return fmt.Sprintf("(%s %s %s)",
+			genOperand(rng, gt, depth-1), pick(rng, cmpOps), genOperand(rng, gt, depth-1))
+	case 4:
+		items := make([]string, 1+rng.Intn(3))
+		for i := range items {
+			items[i] = genOperand(rng, gt, depth-1)
+		}
+		return fmt.Sprintf("(%s IN (%s))", genOperand(rng, gt, depth-1), strings.Join(items, ", "))
+	case 5:
+		return fmt.Sprintf("(%s BETWEEN %s AND %s)",
+			genOperand(rng, gt, depth-1), genOperand(rng, gt, depth-1), genOperand(rng, gt, depth-1))
 	default:
 		op := pick(rng, []string{"AND", "OR"})
 		return fmt.Sprintf("(%s %s %s)",
-			genBoolExpr(rng, gt, depth-1, allowTruthy), op, genBoolExpr(rng, gt, depth-1, allowTruthy))
+			genBoolExpr(rng, gt, depth-1), op, genBoolExpr(rng, gt, depth-1))
 	}
 }
 
@@ -245,28 +296,28 @@ func genAggItem(rng *rand.Rand, gt *genTable) string {
 	case 0:
 		return "COUNT(*)"
 	case 1:
-		return fmt.Sprintf("COUNT(%s)", genNumExpr(rng, gt, 1, true))
+		return fmt.Sprintf("COUNT(%s)", genNumExpr(rng, gt, 1))
 	case 2:
-		return fmt.Sprintf("COUNT_IF(%s)", genBoolExpr(rng, gt, 1, true))
+		return fmt.Sprintf("COUNT_IF(%s)", genBoolExpr(rng, gt, 1))
 	case 3:
 		return fmt.Sprintf("(SUM(%s) / COUNT(*))", pick(rng, gt.numCols))
 	case 4:
 		return fmt.Sprintf("(AVG(%s) + %s)", pick(rng, gt.numCols), genNumLit(rng))
 	case 5:
-		return fmt.Sprintf("(-SUM(%s))", genNumExpr(rng, gt, 1, true))
+		return fmt.Sprintf("(-SUM(%s))", genNumExpr(rng, gt, 1))
 	case 6:
 		return fmt.Sprintf("%s(%s)", pick(rng, []string{"VAR", "STDDEV"}), pick(rng, gt.numCols))
 	case 7:
-		return fmt.Sprintf("%s(%s)", pick(rng, []string{"MIN", "MAX"}), genNumExpr(rng, gt, 1, true))
+		return fmt.Sprintf("%s(%s)", pick(rng, []string{"MIN", "MAX"}), genNumExpr(rng, gt, 1))
 	case 8:
 		// boolean under a numeric aggregate: asNum(true)=1, asNum(false)=0
-		return fmt.Sprintf("SUM(%s)", genBoolExpr(rng, gt, 1, true))
+		return fmt.Sprintf("SUM(%s)", genBoolExpr(rng, gt, 1))
 	default:
-		return fmt.Sprintf("%s(%s)", pick(rng, []string{"AVG", "SUM"}), genNumExpr(rng, gt, rng.Intn(3), true))
+		return fmt.Sprintf("%s(%s)", pick(rng, []string{"AVG", "SUM"}), genNumExpr(rng, gt, rng.Intn(3)))
 	}
 }
 
-// genQuery emits one complete, valid, plannable SQL query against gt.
+// genQuery emits one complete, valid SQL query against gt.
 func genQuery(rng *rand.Rand, gt *genTable) string {
 	// group-by subset: 0, 1 or 2 groupable columns
 	nGroup := rng.Intn(3)
@@ -296,7 +347,7 @@ func genQuery(rng *rand.Rand, gt *genTable) string {
 	sb.WriteString("SELECT " + strings.Join(selects, ", "))
 	sb.WriteString(" FROM " + gt.tbl.Name)
 	if rng.Intn(5) != 0 {
-		sb.WriteString(" WHERE " + genBoolExpr(rng, gt, 1+rng.Intn(2), true))
+		sb.WriteString(" WHERE " + genBoolExpr(rng, gt, 1+rng.Intn(2)))
 	}
 	if len(groupBy) > 0 {
 		sb.WriteString(" GROUP BY " + strings.Join(groupBy, ", "))

@@ -213,16 +213,20 @@ func accumulateSite(accs []aggAcc, stride, si int, kind aggKind, gids []int32, x
 	}
 }
 
+// Binds reports whether p can execute over tbl — the check a plan cache
+// runs before reusing a plan for a table that may have been replaced.
+func (p *Plan) Binds(tbl *table.Table) bool { return p.bindCheck(tbl) == nil }
+
 // bindCheck verifies the executing table still matches the schema the
 // plan was compiled against (streaming snapshots share it; a mismatch
-// means the caller's cache is stale and it should fall back).
+// means the caller's cache is stale and it should recompile).
 func (p *Plan) bindCheck(tbl *table.Table) error {
 	if len(tbl.Columns) != len(p.schema) {
 		return fmt.Errorf("plan: table %q has %d columns, plan compiled for %d", tbl.Name, len(tbl.Columns), len(p.schema))
 	}
 	for i, col := range tbl.Columns {
-		if col.Spec.Kind != p.schema[i] {
-			return fmt.Errorf("plan: column %d of table %q changed kind", i, tbl.Name)
+		if col.Spec != p.schema[i] {
+			return fmt.Errorf("plan: column %d of table %q changed kind or name since compile", i, tbl.Name)
 		}
 	}
 	return nil

@@ -11,15 +11,18 @@ import (
 // vkind is the statically inferred kind of a compiled expression. The
 // row interpreter (internal/exec) carries kinds on runtime values; the
 // planner infers them once at compile time so batch kernels can run
-// over unboxed typed slices. Expressions whose kind cannot be pinned
-// statically (e.g. IF with differently-kinded branches) are rejected
-// with ErrNotPlannable and served by the interpreter instead.
+// over unboxed typed slices. The one expression whose kind varies by
+// row — IF with differently-kinded or string branches — compiles to a
+// deferred select (kSel) that each consumer resolves by distributing
+// itself over the branches, so every evaluated leaf stays statically
+// kinded.
 type vkind uint8
 
 const (
 	kNum vkind = iota
 	kStr
 	kBool
+	kSel
 )
 
 // numOp evaluates to a float64 vector over the current batch. The
@@ -45,12 +48,24 @@ type strSrc struct {
 }
 
 // cexpr is a compiled expression: a static kind plus the matching
-// evaluator (num, b, or str).
+// evaluator (num, b, str or sel).
 type cexpr struct {
 	kind vkind
 	num  numOp
 	b    boolOp
 	str  strSrc
+	sel  *selExpr
+}
+
+// selExpr is an IF the compiler could not give one kind. It is never
+// evaluated itself: a consumer f (asNum, the raw num field, truthiness,
+// either side of a comparison) lowers it as IF(cond, f(a), f(b)),
+// recursively for branches that are themselves deferred — per row the
+// same conversion the interpreter applies to whichever branch value it
+// picked.
+type selExpr struct {
+	cond boolOp
+	a, b cexpr
 }
 
 // execCtx is the per-execution scratch state. A Plan is immutable and
@@ -482,6 +497,8 @@ func (c *compiler) asNumOp(x cexpr) numOp {
 		return x.num
 	case kBool:
 		return &numFromBool{x: x.b, slot: c.numSlot()}
+	case kSel:
+		return &numSelect{cond: x.sel.cond, a: c.asNumOp(x.sel.a), b: c.asNumOp(x.sel.b), slot: c.numSlot()}
 	default:
 		return &numConst{v: math.NaN(), slot: c.numSlot()}
 	}
@@ -491,10 +508,14 @@ func (c *compiler) asNumOp(x cexpr) numOp {
 // used by arithmetic, unary minus and ABS: non-numeric values read as
 // their zero num field.
 func (c *compiler) numFieldOp(x cexpr) numOp {
-	if x.kind == kNum {
+	switch x.kind {
+	case kNum:
 		return x.num
+	case kSel:
+		return &numSelect{cond: x.sel.cond, a: c.numFieldOp(x.sel.a), b: c.numFieldOp(x.sel.b), slot: c.numSlot()}
+	default:
+		return &numConst{v: 0, slot: c.numSlot()}
 	}
-	return &numConst{v: 0, slot: c.numSlot()}
 }
 
 // truthyOp converts to the interpreter's value.truthy semantics.
@@ -504,6 +525,8 @@ func (c *compiler) truthyOp(x cexpr) boolOp {
 		return x.b
 	case kNum:
 		return &boolNumTruthy{x: x.num, slot: c.boolSlot()}
+	case kSel:
+		return &boolSelect{cond: x.sel.cond, a: c.truthyOp(x.sel.a), b: c.truthyOp(x.sel.b), slot: c.boolSlot()}
 	default:
 		if x.str.isConst {
 			return &boolConst{v: x.str.lit != "", slot: c.boolSlot()}
@@ -676,16 +699,13 @@ func (c *compiler) compile(e sqlparse.Expr) (cexpr, error) {
 			if err != nil {
 				return cexpr{}, err
 			}
-			if a.kind != b.kind {
-				return cexpr{}, fmt.Errorf("%w: IF branches have different kinds", ErrNotPlannable)
-			}
-			switch a.kind {
-			case kNum:
+			switch {
+			case a.kind == kNum && b.kind == kNum:
 				return c.numExpr(&numSelect{cond: cond, a: a.num, b: b.num, slot: c.numSlot()}), nil
-			case kBool:
+			case a.kind == kBool && b.kind == kBool:
 				return c.boolExpr(&boolSelect{cond: cond, a: a.b, b: b.b, slot: c.boolSlot()}), nil
 			default:
-				return cexpr{}, fmt.Errorf("%w: IF over string branches", ErrNotPlannable)
+				return cexpr{kind: kSel, sel: &selExpr{cond: cond, a: a, b: b}}, nil
 			}
 		case "ABS":
 			if len(n.Args) != 1 {
@@ -705,8 +725,15 @@ func (c *compiler) compile(e sqlparse.Expr) (cexpr, error) {
 // compileCmp lowers a comparison with exec.compare's semantics: both
 // sides string → lexicographic; otherwise both via asNum, which folds
 // string-vs-numeric comparisons into constants (string asNum is NaN:
-// != is always true, every other operator always false).
+// != is always true, every other operator always false). A deferred
+// select on either side distributes the comparison over its branches.
 func (c *compiler) compileCmp(a, b cexpr, op cmpOp) boolOp {
+	if a.kind == kSel {
+		return &boolSelect{cond: a.sel.cond, a: c.compileCmp(a.sel.a, b, op), b: c.compileCmp(a.sel.b, b, op), slot: c.boolSlot()}
+	}
+	if b.kind == kSel {
+		return &boolSelect{cond: b.sel.cond, a: c.compileCmp(a, b.sel.a, op), b: c.compileCmp(a, b.sel.b, op), slot: c.boolSlot()}
+	}
 	if a.kind == kStr && b.kind == kStr {
 		switch {
 		case a.str.isConst && b.str.isConst:

@@ -1,27 +1,22 @@
 // Package plan lowers parsed queries (internal/sqlparse) to compiled
 // physical plans executed columnar-style: predicate → group → aggregate
 // operators evaluated in tight typed per-column loops over vectorized
-// row batches, with no per-cell boxing. It is the fast path in front of
-// the row interpreter (internal/exec), which stays as the reference
-// oracle — a plan's Execute is required to produce bit-identical
-// results (values, group keys, ordering, standard-error estimates) to
-// exec.Run/exec.RunWeighted on every query it accepts, a property
-// enforced by the package's differential tests.
+// row batches, with no per-cell boxing. It is the one query executor:
+// the row interpreter (internal/exec) stays only as the reference
+// oracle — Compile accepts exactly the queries the interpreter accepts,
+// and a plan's Execute is required to produce bit-identical results
+// (values, group keys, ordering, standard-error estimates) to
+// exec.Run/exec.RunWeighted, a property enforced by the package's
+// differential tests.
 //
 // Plans are immutable after Compile and safe for concurrent Execute
 // calls: all mutable evaluation state (batch buffers, scratch vectors,
 // per-dictionary-code predicate tables) lives in a per-call context.
-// The registry (internal/serve) caches plans keyed by normalized SQL.
-//
-// Queries outside the planner's statically-typed subset (for example
-// IF with differently-kinded branches) fail Compile with an error
-// wrapping ErrNotPlannable; callers fall back to the interpreter, so
-// the planner never changes which queries are answerable — only how
-// fast the answerable ones run.
+// The registry (internal/serve) caches plans keyed by normalized SQL;
+// one-shot callers (the facade, cvquery, the experiments) use Run.
 package plan
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -30,12 +25,6 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/table"
 )
-
-// ErrNotPlannable marks a valid query the columnar executor does not
-// support; callers should fall back to the row interpreter. Compile
-// can also fail with ordinary validation errors (unknown column, bad
-// aggregate arity, ...) — those queries fail in the interpreter too.
-var ErrNotPlannable = errors.New("query not plannable")
 
 // planSite is one aggregate call site: the kind plus the compiled
 // argument in the representation its accumulator consumes.
@@ -47,12 +36,12 @@ type planSite struct {
 }
 
 // Plan is a query compiled against a table schema. It binds columns by
-// index and kind, so it remains valid across streaming snapshots of
-// the same table (appends never change the schema); Execute re-checks
-// the binding and errors on any mismatch.
+// index, so it remains valid across streaming snapshots of the same
+// table (appends never change the schema); Execute re-checks the
+// binding and errors on any mismatch.
 type Plan struct {
 	tableName string
-	schema    []table.Kind // full column-kind fingerprint at compile
+	schema    table.Schema // the schema at compile, what bindCheck compares
 
 	groupAttrs []string
 	groupIdx   []int // table column index per group attr
@@ -79,19 +68,24 @@ type Plan struct {
 	orderStrs []string
 }
 
+// Run compiles q against tbl and executes it once: exactly over the
+// full table when rows is nil, over the weighted row sample otherwise.
+func Run(tbl *table.Table, q *sqlparse.Query, rows []int32, weights []float64) (*exec.Result, error) {
+	p, err := Compile(tbl, q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Execute(tbl, rows, weights)
+}
+
 // Compile validates and lowers q against tbl's schema. The validation
-// mirrors the interpreter's compile step, then adds the planner's own
-// static-typing restrictions (ErrNotPlannable); any error means the
-// caller should serve the query through the interpreter.
+// mirrors the interpreter's compile step: an error means the query is
+// invalid, for either engine.
 func Compile(tbl *table.Table, q *sqlparse.Query) (*Plan, error) {
 	if q.From != "" && !strings.EqualFold(q.From, tbl.Name) {
 		return nil, fmt.Errorf("plan: query targets table %q, got %q", q.From, tbl.Name)
 	}
-	p := &Plan{tableName: tbl.Name, limit: q.Limit, cube: q.Cube}
-	p.schema = make([]table.Kind, len(tbl.Columns))
-	for i, col := range tbl.Columns {
-		p.schema[i] = col.Spec.Kind
-	}
+	p := &Plan{tableName: tbl.Name, schema: tbl.Schema(), limit: q.Limit, cube: q.Cube}
 	c := &compiler{tbl: tbl}
 
 	if q.Where != nil {

@@ -1,14 +1,13 @@
 package plan_test
 
-// Deterministic unit tests for the planner's edges: rejection
-// taxonomy (ErrNotPlannable vs hard errors), schema re-binding, the
-// rows/weights contract, and a handful of semantic corners pinned as
-// fixed cases (the randomized oracle in differential_test.go covers
+// Deterministic unit tests for the planner's edges: validation
+// errors, schema re-binding, the rows/weights contract, and a handful
+// of semantic corners — among them the kind-varying IF in every
+// consumer position — pinned as fixed cases (the randomized oracle in differential_test.go covers
 // the same ground statistically; these are the human-readable
 // counterexamples-by-construction).
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -56,9 +55,9 @@ func mustPlan(t *testing.T, tbl *table.Table, sql string) *plan.Plan {
 	return p
 }
 
-// runBoth executes sql through both executors and requires bit-equal
-// aggregates, returning the interpreter's result.
-func runBoth(t *testing.T, tbl *table.Table, sql string) *exec.Result {
+// runBoth executes sql through both executors, exactly and over a
+// fixed weighted multiset of rows, and requires bit-equal results.
+func runBoth(t *testing.T, tbl *table.Table, sql string) {
 	t.Helper()
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -77,9 +76,20 @@ func runBoth(t *testing.T, tbl *table.Table, sql string) *exec.Result {
 		t.Fatalf("execute %q: %v", sql, err)
 	}
 	if d := diffResults(want, got); d != "" {
-		t.Fatalf("divergence on %q: %s", sql, d)
+		t.Fatalf("exact divergence on %q: %s", sql, d)
 	}
-	return want
+	rows, weights := []int32{5, 0, 0, 3, 1, 4, 2, 5}, []float64{2, 1.5, 3, 40, 0.25, 7, 1, 2.5}
+	want, err = exec.RunWeighted(tbl, q, rows, weights)
+	if err != nil {
+		t.Fatalf("weighted interpret %q: %v", sql, err)
+	}
+	got, err = p.Execute(tbl, rows, weights)
+	if err != nil {
+		t.Fatalf("weighted execute %q: %v", sql, err)
+	}
+	if d := diffResults(want, got); d != "" {
+		t.Fatalf("weighted divergence on %q: %s", sql, d)
+	}
 }
 
 func TestPlanSemanticCorners(t *testing.T) {
@@ -110,33 +120,62 @@ func TestPlanSemanticCorners(t *testing.T) {
 	}
 }
 
+// TestPlanKindVaryingIF pins the two IF shapes with no single static
+// kind — branches of different kinds, and string branches — in every
+// position that consumes a value. mix is number-or-string, strs is
+// string-or-string, deep nests one inside the other with a boolean arm.
+func TestPlanKindVaryingIF(t *testing.T) {
+	tbl := miniTable(t)
+	const (
+		mix  = "IF(v > 0, v, cat)"
+		strs = "IF(n > 2, cat, tag)"
+		deep = "IF(cat = 'a', IF(v > 1, tag, n), IF(n > 4, v > 5, 'x'))"
+	)
+	for _, tmpl := range []string{
+		// WHERE truthiness
+		"SELECT cat, COUNT(*) FROM mini WHERE $ GROUP BY cat",
+		// both sides of each comparison operator, against a number, a
+		// string column, a string literal and another kind-varying IF
+		"SELECT COUNT_IF($ = 1.5), COUNT_IF($ != 1.5), COUNT_IF($ < 2), COUNT_IF($ <= 7.25), COUNT_IF($ > 0), COUNT_IF($ >= 10) FROM mini",
+		"SELECT COUNT_IF(1.5 = $), COUNT_IF(1.5 != $), COUNT_IF(2 < $), COUNT_IF(7.25 <= $), COUNT_IF(0 > $), COUNT_IF(10 >= $) FROM mini",
+		"SELECT COUNT_IF($ = tag), COUNT_IF($ != tag), COUNT_IF($ < tag), COUNT_IF(tag <= $), COUNT_IF(tag > $), COUNT_IF($ >= 'b') FROM mini",
+		"SELECT COUNT_IF($ = " + strs + "), COUNT_IF(" + mix + " < $), COUNT_IF($ >= " + deep + ") FROM mini",
+		// IN: as the probe and as an item
+		"SELECT COUNT_IF($ IN ('a', 10, tag)), COUNT_IF(cat IN ('zz', $)), COUNT_IF(v IN (0, $)) FROM mini",
+		// BETWEEN: as the probe and as either bound
+		"SELECT COUNT_IF($ BETWEEN 0 AND 8), COUNT_IF(v BETWEEN $ AND 100), COUNT_IF(cat BETWEEN 'a' AND $) FROM mini",
+		// arithmetic operand, unary minus, ABS: the raw num field
+		"SELECT SUM($ + 1), SUM(n * $), SUM(-$), SUM(ABS($)), SUM(v / $) FROM mini",
+		// aggregate arguments: asNum (strings are NaN) and truthiness
+		"SELECT cat, AVG($), SUM($), MIN($), MAX($), VAR($), COUNT($), COUNT_IF($) FROM mini GROUP BY cat",
+		// logical operators and NOT, and an IF condition
+		"SELECT COUNT_IF(NOT $), COUNT_IF($ AND v > 0), COUNT_IF(n > 3 OR $), SUM(IF($, 1, 2)) FROM mini",
+	} {
+		for _, sel := range []string{mix, strs, deep} {
+			runBoth(t, tbl, strings.ReplaceAll(tmpl, "$", sel))
+		}
+	}
+}
+
 func TestPlanRejections(t *testing.T) {
 	tbl := miniTable(t)
-	cases := []struct {
-		sql          string
-		notPlannable bool // expect ErrNotPlannable specifically
-	}{
-		{"SELECT AVG(IF(v > 0, v, cat)) FROM mini", true},
-		{"SELECT AVG(IF(v > 0, cat, tag)) FROM mini", true},
-		{"SELECT AVG(nope) FROM mini", false},
-		{"SELECT AVG(v) FROM elsewhere", false},
-		{"SELECT cat FROM mini", false},                    // no aggregate outputs
-		{"SELECT v, AVG(v) FROM mini", false},              // ungrouped column ref
-		{"SELECT cat, AVG(v) FROM mini GROUP BY v", false}, // grouping a Float
-	}
-	for _, c := range cases {
-		q, err := sqlparse.Parse(c.sql)
+	for _, sql := range []string{
+		"SELECT AVG(nope) FROM mini",
+		"SELECT AVG(v) FROM elsewhere",
+		"SELECT cat FROM mini",                    // no aggregate outputs
+		"SELECT v, AVG(v) FROM mini",              // ungrouped column ref
+		"SELECT cat, AVG(v) FROM mini GROUP BY v", // grouping a Float
+		"SELECT AVG(IF(v > 0, nope, cat)) FROM mini",
+	} {
+		q, err := sqlparse.Parse(sql)
 		if err != nil {
-			t.Fatalf("parse %q: %v", c.sql, err)
+			t.Fatalf("parse %q: %v", sql, err)
 		}
-		_, err = plan.Compile(tbl, q)
-		if err == nil {
-			t.Errorf("Compile(%q) succeeded, want error", c.sql)
-			continue
+		if _, err := plan.Compile(tbl, q); err == nil {
+			t.Errorf("Compile(%q) succeeded, want error", sql)
 		}
-		if got := errors.Is(err, plan.ErrNotPlannable); got != c.notPlannable {
-			t.Errorf("Compile(%q): errors.Is(ErrNotPlannable) = %v, want %v (err: %v)",
-				c.sql, got, c.notPlannable, err)
+		if _, err := exec.Run(tbl, q); err == nil {
+			t.Errorf("interpreter accepted %q, want error", sql)
 		}
 	}
 }
@@ -168,6 +207,18 @@ func TestPlanBindCheck(t *testing.T) {
 		t.Fatal("executing against a kind-changed schema must fail")
 	} else if !strings.Contains(err.Error(), "changed kind") {
 		t.Fatalf("want a changed-kind error, got: %v", err)
+	}
+
+	// same kinds under other names: column indexes would bind to the
+	// wrong data
+	renamed := table.New("mini", table.Schema{
+		{Name: "tag", Kind: table.String},
+		{Name: "cat", Kind: table.String},
+		{Name: "v", Kind: table.Float},
+		{Name: "n", Kind: table.Int},
+	})
+	if _, err := p.Execute(renamed, nil, nil); err == nil || p.Binds(renamed) {
+		t.Fatal("executing against a renamed schema must fail")
 	}
 }
 

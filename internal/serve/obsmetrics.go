@@ -71,15 +71,10 @@ const (
 	// to compile (singleflight waiters count as hits).
 	MetricPlanCacheHits   = "repro_plan_cache_hits_total"
 	MetricPlanCacheMisses = "repro_plan_cache_misses_total"
-	// MetricPlanFallbacks counts query executions served by the row
-	// interpreter because the query is outside the planner's subset (or
-	// a cached plan stopped binding).
-	MetricPlanFallbacks = "repro_plan_fallbacks_total"
 	// MetricPlanEvictions counts compiled plans evicted by the
 	// plan-cache cap (WithMaxPlans).
 	MetricPlanEvictions = "repro_plan_evictions_total"
-	// MetricPlans gauges the resident compiled-plan cache (cached
-	// interpreter-fallback decisions included).
+	// MetricPlans gauges the resident compiled-plan cache.
 	MetricPlans = "repro_plans"
 	// MetricWalSegments / MetricWalBytes gauge the live WAL segment
 	// files and their total size across all streaming tables.
@@ -149,7 +144,6 @@ type srvMetrics struct {
 	evictedBytes     *obs.Counter
 	planCacheHits    *obs.Counter
 	planCacheMisses  *obs.Counter
-	planFallbacks    *obs.Counter
 	planEvictions    *obs.Counter
 
 	walCheckpoints     *obs.Counter
@@ -189,7 +183,6 @@ func newSrvMetrics(reg *obs.Registry, r *Registry) *srvMetrics {
 		evictedBytes:       reg.Counter(MetricEvictedBytes, "Estimated bytes freed by eviction."),
 		planCacheHits:      reg.Counter(MetricPlanCacheHits, "Query executions answered by a cached compiled plan."),
 		planCacheMisses:    reg.Counter(MetricPlanCacheMisses, "Query executions that compiled a plan."),
-		planFallbacks:      reg.Counter(MetricPlanFallbacks, "Query executions served by the row interpreter."),
 		planEvictions:      reg.Counter(MetricPlanEvictions, "Compiled plans evicted by the plan-cache cap."),
 		walCheckpoints:     reg.Counter(MetricWalCheckpoints, "Checkpoint cuts written by the persistence layer."),
 		walTruncatedSegs:   reg.Counter(MetricWalTruncatedSegments, "WAL segments deleted by checkpoint truncation."),

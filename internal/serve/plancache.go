@@ -7,13 +7,11 @@ package serve
 // singleflight discipline as sample builds), and evicted LRU beyond a
 // per-shard cap. Plans are immutable, so eviction can never tear an
 // in-flight execution — an executing goroutine keeps its own
-// reference; the cache only forgets the key.
-//
-// Queries the planner rejects are cached too (a nil plan): the
-// rejection is as stable as the plan would be, and caching it keeps
-// the interpreter fallback from re-running Compile per request.
+// reference; the cache only forgets the key. Failed compilations are
+// not cached: the error goes to the compiling query and its waiters.
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -39,19 +37,18 @@ func WithMaxPlans(n int) Option {
 	}
 }
 
-// planEntry is one cached compilation outcome: a plan, or nil when the
-// planner rejected the query (interpreter fallback, cached so the
-// rejection is not re-derived per request).
+// planEntry is one cached compiled plan.
 type planEntry struct {
 	plan     *plan.Plan
 	lastUsed atomic.Int64
 }
 
 // planCall is one in-flight singleflight compilation. Waiters block on
-// done and then read entry, which the compiler sets before closing.
+// done and then read plan/err, which the compiler sets before closing.
 type planCall struct {
-	done  chan struct{}
-	entry *planEntry
+	done chan struct{}
+	plan *plan.Plan
+	err  error
 }
 
 // planShardCap is the per-shard resident-plan cap derived from the
@@ -64,56 +61,75 @@ func (r *Registry) planShardCap() int {
 	return cap
 }
 
-// planFor returns the compiled plan for q against tbl, or nil when the
-// query is served by the interpreter. q.From must already be
-// canonicalized to tbl.Name (Query does this), so the normalized SQL
-// is casing-stable and lands on the table's own shard.
-func (r *Registry) planFor(tbl *table.Table, q *sqlparse.Query) *plan.Plan {
+// planFor returns the compiled plan for q against tbl. q.From must
+// already be canonicalized to tbl.Name (Query does this), so the
+// normalized SQL is casing-stable and lands on the table's own shard.
+// A cached plan that no longer binds tbl — the name now resolves to a
+// table of another schema — is dropped and compiled afresh against
+// tbl. A compile error is the query's error, shared with every waiter
+// on the same key.
+func (r *Registry) planFor(tbl *table.Table, q *sqlparse.Query) (*plan.Plan, error) {
 	key := q.String()
 	sh := r.shardFor(tbl.Name)
 
 	sh.mu.RLock()
 	pe, ok := sh.plans[key]
 	sh.mu.RUnlock()
-	if ok {
+	if ok && pe.plan.Binds(tbl) {
 		r.touchPlan(pe)
 		r.metrics.planCacheHits.Inc()
-		return pe.plan
+		return pe.plan, nil
 	}
 
 	sh.mu.Lock()
 	if pe, ok := sh.plans[key]; ok {
-		sh.mu.Unlock()
-		r.touchPlan(pe)
-		r.metrics.planCacheHits.Inc()
-		return pe.plan
+		if pe.plan.Binds(tbl) {
+			sh.mu.Unlock()
+			r.touchPlan(pe)
+			r.metrics.planCacheHits.Inc()
+			return pe.plan, nil
+		}
+		delete(sh.plans, key)
 	}
 	if c, ok := sh.planFlight[key]; ok {
 		sh.mu.Unlock()
 		<-c.done
-		r.touchPlan(c.entry)
+		if c.err != nil {
+			return nil, c.err
+		}
+		if !c.plan.Binds(tbl) {
+			// the leader compiled for the other side of a table
+			// replacement; this query compiles its own, uncached
+			r.planCompiles.Add(1)
+			return plan.Compile(tbl, q)
+		}
 		r.metrics.planCacheHits.Inc()
-		return c.entry.plan
+		return c.plan, nil
 	}
 	c := &planCall{done: make(chan struct{})}
 	sh.planFlight[key] = c
 	sh.mu.Unlock()
 	r.metrics.planCacheMisses.Inc()
 
-	// Compile outside the lock; a panicking compile degrades to the
-	// interpreter (cached as a rejection) instead of wedging the key.
-	pe = &planEntry{}
+	// Compile outside the lock; a panicking compile becomes the call's
+	// error instead of wedging the key.
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
-				pe.plan = nil
+				c.plan, c.err = nil, fmt.Errorf("serve: compiling %q: panic: %v", key, p)
 			}
 		}()
-		if compiled, err := plan.Compile(tbl, q); err == nil {
-			pe.plan = compiled
-		}
+		c.plan, c.err = plan.Compile(tbl, q)
 	}()
 	r.planCompiles.Add(1)
+	if c.err != nil {
+		sh.mu.Lock()
+		delete(sh.planFlight, key)
+		sh.mu.Unlock()
+		close(c.done)
+		return nil, c.err
+	}
+	pe = &planEntry{plan: c.plan}
 	pe.lastUsed.Store(r.useClock.Add(1))
 
 	var evicted int64
@@ -138,13 +154,12 @@ func (r *Registry) planFor(tbl *table.Table, q *sqlparse.Query) *plan.Plan {
 		evicted++
 	}
 	sh.mu.Unlock()
-	c.entry = pe
 	close(c.done)
 	if evicted > 0 {
 		r.planEvictions.Add(evicted)
 		r.metrics.planEvictions.Add(evicted)
 	}
-	return pe.plan
+	return c.plan, nil
 }
 
 // touchPlan stamps the plan's LRU clock.
@@ -160,8 +175,8 @@ func (r *Registry) PlanCompiles() int64 { return r.planCompiles.Load() }
 // PlanEvictions returns how many cached plans have been evicted.
 func (r *Registry) PlanEvictions() int64 { return r.planEvictions.Load() }
 
-// PlanCount returns the number of resident cached plans (rejections
-// included), the repro_plans gauge.
+// PlanCount returns the number of resident cached plans, the
+// repro_plans gauge.
 func (r *Registry) PlanCount() int {
 	var n int
 	for _, sh := range r.shards {

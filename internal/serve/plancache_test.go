@@ -4,13 +4,16 @@ package serve_test
 // matter how many queries race (singleflight), LRU eviction bounded by
 // WithMaxPlans, eviction never corrupting an in-flight execution
 // (plans are immutable; the churn test verifies results while evicting
-// under -race), cached interpreter fallbacks, the forced-interpreter
-// escape hatch, and the explain:true wire surface.
+// under -race), every serving path answering through a plan that is
+// bit-equal to the interpreter oracle (internal/exec, called from the
+// tests only), schema drift recompiling once, compile errors reaching
+// every racer, and the explain:true wire surface.
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,6 +21,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/serve"
 	"repro/internal/sqlparse"
+	"repro/internal/table"
 )
 
 const planSQL = "SELECT region, AVG(amount), COUNT(*) FROM sales WHERE amount > 50 GROUP BY region"
@@ -160,80 +164,208 @@ func TestPlanCacheEvictionNeverTears(t *testing.T) {
 	}
 }
 
-// TestPlanCacheFallback: a query outside the plannable subset (IF with
-// mixed-kind branches) is served by the interpreter, yields correct
-// results, and its rejection is cached — one Compile, ever.
-func TestPlanCacheFallback(t *testing.T) {
+// oracle answers sql with the row interpreter: exactly over tbl when e
+// is nil, over e's weighted sample otherwise.
+func oracle(t *testing.T, tbl *table.Table, sql string, e *serve.Entry) *exec.Result {
+	t.Helper()
+	q, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *exec.Result
+	if e == nil {
+		want, err = exec.Run(tbl, q)
+	} else {
+		want, err = exec.RunWeighted(tbl, q, e.Sample.Rows, e.Sample.Weights)
+	}
+	if err != nil {
+		t.Fatalf("interpreter on %q: %v", sql, err)
+	}
+	return want
+}
+
+// TestEveryPathPlansAndMatchesOracle: there is one executor. The two
+// IF shapes that used to fall back to the interpreter (branches of
+// different kinds, string branches) and an ordinary query all answer
+// through a compiled plan, bit-equal to the interpreter, on every
+// serving path.
+func TestEveryPathPlansAndMatchesOracle(t *testing.T) {
+	queries := []struct {
+		sql string
+		// targetable: passes the target-CV contract (GROUP BY, no WHERE),
+		// which the degraded path enforces like the full one
+		targetable bool
+	}{
+		{"SELECT COUNT_IF(IF(amount > 50, amount, region) > 0) FROM sales", false},
+		{planSQL, false},
+		{"SELECT region, AVG(IF(amount > 100, amount, product)), COUNT_IF(IF(amount > 90, product, region) != 'EU') FROM sales GROUP BY region", true},
+	}
+
+	static := newSalesRegistry(t)
+	defer static.Close()
+	if _, _, err := static.Build(context.Background(), buildReq(400)); err != nil {
+		t.Fatal(err)
+	}
+	staticTbl, _ := static.Table("sales")
+
+	// a live table one refresh past registration: answers come off the
+	// generation-2 snapshot
+	stream := newStreamingRegistry(t, persistStreamCfg(300))
+	if _, err := stream.Append("sales", streamRows(3740, 400)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stream.Refresh("sales"); err != nil {
+		t.Fatal(err)
+	}
+	streamTbl, _ := stream.Table("sales")
+
+	paths := []struct {
+		name       string
+		reg        *serve.Registry
+		tbl        *table.Table
+		opt        serve.QueryOptions
+		targetOnly bool
+		check      func(*serve.QueryAnswer) bool
+	}{
+		{"exact", static, staticTbl, serve.QueryOptions{Mode: serve.ModeExact}, false,
+			func(a *serve.QueryAnswer) bool { return a.Entry == nil }},
+		{"sample", static, staticTbl, serve.QueryOptions{Mode: serve.ModeSample}, false,
+			func(a *serve.QueryAnswer) bool { return a.Entry != nil && a.ExactResult == nil }},
+		{"compare", static, staticTbl, serve.QueryOptions{Mode: serve.ModeSample, Compare: true}, false,
+			func(a *serve.QueryAnswer) bool { return a.Entry != nil && a.ExactResult != nil }},
+		{"degraded", static, staticTbl, serve.QueryOptions{TargetCV: 0.01, Degrade: true}, true,
+			func(a *serve.QueryAnswer) bool { return a.Entry != nil && a.Degraded }},
+		{"stream", stream, streamTbl, serve.QueryOptions{Mode: serve.ModeSample, Compare: true}, false,
+			func(a *serve.QueryAnswer) bool {
+				return a.Entry != nil && a.Entry.Generation == 2 && a.ExactResult != nil
+			}},
+	}
+	for _, p := range paths {
+		for _, q := range queries {
+			if p.targetOnly && !q.targetable {
+				continue
+			}
+			ans, err := p.reg.Query(context.Background(), q.sql, p.opt)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", p.name, q.sql, err)
+			}
+			if ans.Plan == nil {
+				t.Fatalf("%s: %q answered without a plan", p.name, q.sql)
+			}
+			if !p.check(ans) {
+				t.Fatalf("%s: %q took the wrong path: entry=%v degraded=%v exact=%v",
+					p.name, q.sql, ans.Entry, ans.Degraded, ans.ExactResult != nil)
+			}
+			if !sameResult(oracle(t, p.tbl, q.sql, ans.Entry), ans.Result) {
+				t.Fatalf("%s: %q diverges from the interpreter", p.name, q.sql)
+			}
+			if ans.ExactResult != nil && !sameResult(oracle(t, p.tbl, q.sql, nil), ans.ExactResult) {
+				t.Fatalf("%s: %q: compare baseline diverges from the interpreter", p.name, q.sql)
+			}
+		}
+	}
+}
+
+// TestPlanCacheRecompilesOnSchemaDrift: a recovered stream replaces a
+// same-named static table of another schema after a plan was cached
+// against the static one. The stale plan must not run (its column
+// indexes point at the wrong data) and must not fail the query: the
+// next query recompiles exactly once, and later ones hit the cache.
+func TestPlanCacheRecompilesOnSchemaDrift(t *testing.T) {
+	dir := t.TempDir()
+	narrow := table.New("sales", table.Schema{
+		{Name: "amount", Kind: table.Float},
+		{Name: "region", Kind: table.String},
+	})
+	for i := 0; i < 600; i++ {
+		if err := narrow.AppendRow(float64(10+i%37), []string{"NA", "EU", "APAC"}[i%3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seed := serve.NewRegistry(serve.WithPersistence(persistOpts(dir)))
+	if err := seed.RegisterStreamingTable(narrow, persistStreamCfg(100)); err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+
+	reg := serve.NewRegistry(serve.WithPersistence(persistOpts(dir)))
+	t.Cleanup(reg.Close)
+	if err := reg.RegisterTable(salesTable(t)); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT region, AVG(amount), COUNT(*) FROM sales WHERE amount > 20 GROUP BY region"
+	opt := serve.QueryOptions{Mode: serve.ModeExact}
+	if _, err := reg.Query(context.Background(), sql, opt); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.PlanCompiles(); got != 1 {
+		t.Fatalf("PlanCompiles() = %d, want 1", got)
+	}
+
+	if rep, err := reg.Recover(context.Background()); err != nil || rep.Tables != 1 {
+		t.Fatalf("Recover: %+v, %v", rep, err)
+	}
+	recovered, _ := reg.Table("sales")
+	if recovered.NumCols() != 2 {
+		t.Fatalf("the recovered stream should have replaced the static table, got %d columns", recovered.NumCols())
+	}
+	for i, wantCompiles := range []int64{2, 2, 2} {
+		ans, err := reg.Query(context.Background(), sql, opt)
+		if err != nil {
+			t.Fatalf("query %d after the replacement: %v", i, err)
+		}
+		if !sameResult(oracle(t, recovered, sql, nil), ans.Result) {
+			t.Fatalf("query %d after the replacement diverges from the interpreter", i)
+		}
+		if got := reg.PlanCompiles(); got != wantCompiles {
+			t.Fatalf("query %d: PlanCompiles() = %d, want %d (one recompile, then cache hits)", i, got, wantCompiles)
+		}
+	}
+	if got := reg.PlanCount(); got != 1 {
+		t.Fatalf("PlanCount() = %d, want 1 (the stale plan is replaced, not kept)", got)
+	}
+}
+
+// TestPlanCompileErrorReachesEveryRacer: an invalid query is the
+// caller's error on every path through the singleflight — leader and
+// waiters alike — nothing is cached for it, and the key is free again
+// afterwards.
+func TestPlanCompileErrorReachesEveryRacer(t *testing.T) {
 	reg := serve.NewRegistry(serve.WithShards(1))
 	if err := reg.RegisterTable(salesTable(t)); err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
 
-	sql := "SELECT COUNT_IF(IF(amount > 50, amount, region) > 0) FROM sales"
-	ans, err := reg.Query(context.Background(), sql, serve.QueryOptions{Mode: serve.ModeExact})
-	if err != nil {
-		t.Fatal(err)
+	const bad = "SELECT region, AVG(nope) FROM sales GROUP BY region"
+	const workers = 32
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	start := make(chan struct{})
+	for i := 0; i < workers; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[i] = reg.Query(context.Background(), bad, serve.QueryOptions{Mode: serve.ModeExact})
+		}()
 	}
-	if ans.Plan != nil {
-		t.Fatal("mixed-kind IF should be unplannable")
+	close(start)
+	wg.Wait() // a wedged key hangs here until the test timeout
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), `unknown column "nope"`) {
+			t.Fatalf("worker %d: err = %v, want the unknown-column error", i, err)
+		}
 	}
-	if len(ans.Result.Rows) != 1 {
-		t.Fatalf("fallback result has %d rows, want 1", len(ans.Result.Rows))
+	if got := reg.PlanCount(); got != 0 {
+		t.Fatalf("PlanCount() = %d, want 0 (failed compilations are not cached)", got)
 	}
-	if got := reg.PlanCompiles(); got != 1 {
-		t.Fatalf("PlanCompiles() = %d, want 1", got)
+	if _, err := reg.Query(context.Background(), planSQL, serve.QueryOptions{Mode: serve.ModeExact}); err != nil {
+		t.Fatalf("a valid query after the failures: %v", err)
 	}
 	if got := reg.PlanCount(); got != 1 {
-		t.Fatalf("PlanCount() = %d, want 1 (rejection cached)", got)
-	}
-	if _, err := reg.Query(context.Background(), sql, serve.QueryOptions{Mode: serve.ModeExact}); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.PlanCompiles(); got != 1 {
-		t.Fatalf("repeat query recompiled: PlanCompiles() = %d, want 1 (cached rejection)", got)
-	}
-}
-
-// TestPlanCacheForcedInterpreter: ExecInterpreted bypasses the planner
-// entirely and answers match the planned path bit-for-bit.
-func TestPlanCacheForcedInterpreter(t *testing.T) {
-	reg := serve.NewRegistry()
-	if err := reg.RegisterTable(salesTable(t)); err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-
-	forced, err := reg.Query(context.Background(), planSQL, serve.QueryOptions{
-		Mode: serve.ModeExact, Executor: serve.ExecInterpreted,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Plan != nil {
-		t.Fatal("ExecInterpreted must not plan")
-	}
-	if got := reg.PlanCompiles(); got != 0 {
-		t.Fatalf("ExecInterpreted compiled %d plans, want 0", got)
-	}
-
-	planned, err := reg.Query(context.Background(), planSQL, serve.QueryOptions{Mode: serve.ModeExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planned.Plan == nil {
-		t.Fatal("auto executor should plan this query")
-	}
-	if len(forced.Result.Rows) != len(planned.Result.Rows) {
-		t.Fatalf("executor row counts diverge: %d vs %d", len(forced.Result.Rows), len(planned.Result.Rows))
-	}
-	for r := range forced.Result.Rows {
-		for a := range forced.Result.Rows[r].Aggs {
-			if math.Float64bits(forced.Result.Rows[r].Aggs[a]) != math.Float64bits(planned.Result.Rows[r].Aggs[a]) {
-				t.Fatalf("row %d agg %d: interpreter %v vs columnar %v",
-					r, a, forced.Result.Rows[r].Aggs[a], planned.Result.Rows[r].Aggs[a])
-			}
-		}
+		t.Fatalf("PlanCount() = %d, want 1", got)
 	}
 }
 
@@ -276,25 +408,16 @@ func TestPlanCacheSurvivesSampleEviction(t *testing.T) {
 	if got := reg.PlanCompiles(); got != 1 {
 		t.Fatalf("PlanCompiles() = %d, want 1 (rebuild must reuse the cached plan)", got)
 	}
-	// the oracle: the interpreter over the same deterministic rebuild
-	oracle, err := reg.Query(context.Background(), sql, serve.QueryOptions{
-		Mode: serve.ModeSample, TargetCV: 0.2, Executor: serve.ExecInterpreted,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// the oracle: the interpreter over each answer's own sample (the
+	// rebuild is deterministic, so the two answers also agree)
+	tbl, _ := reg.Table("sales")
 	for _, ans := range []*serve.QueryAnswer{first, second} {
-		if len(ans.Result.Rows) != len(oracle.Result.Rows) {
-			t.Fatalf("row counts diverge from oracle: %d vs %d", len(ans.Result.Rows), len(oracle.Result.Rows))
+		if !sameResult(oracle(t, tbl, sql, ans.Entry), ans.Result) {
+			t.Fatal("planned answer diverges from the interpreter over the same sample")
 		}
-		for r := range oracle.Result.Rows {
-			for a := range oracle.Result.Rows[r].Aggs {
-				if math.Float64bits(ans.Result.Rows[r].Aggs[a]) != math.Float64bits(oracle.Result.Rows[r].Aggs[a]) {
-					t.Fatalf("row %d agg %d: planned %v vs oracle %v",
-						r, a, ans.Result.Rows[r].Aggs[a], oracle.Result.Rows[r].Aggs[a])
-				}
-			}
-		}
+	}
+	if !sameResult(first.Result, second.Result) {
+		t.Fatal("the rebuilt sample answered differently from the evicted one")
 	}
 }
 
@@ -348,8 +471,18 @@ func TestPlanCacheRebindsAcrossStreamSnapshots(t *testing.T) {
 func TestQueryExplainHTTP(t *testing.T) {
 	ts, _ := startServer(t)
 
+	// every answer carries a plan, the former interpreter-only shapes too
 	var resp apiv1.QueryResponse
-	body := fmt.Sprintf(`{"sql": %q, "mode": "exact", "explain": true}`, planSQL)
+	body := `{"sql": "SELECT COUNT_IF(IF(amount > 50, amount, region) > 0) FROM sales", "explain": true}`
+	if code := post(t, ts.URL+apiv1.Path(apiv1.RouteQuery), body, &resp); code != 200 {
+		t.Fatalf("query returned %d", code)
+	}
+	if resp.Executor != apiv1.ExecutorColumnar || resp.Plan == nil {
+		t.Fatalf("kind-varying IF: executor = %q, plan = %+v", resp.Executor, resp.Plan)
+	}
+
+	resp = apiv1.QueryResponse{}
+	body = fmt.Sprintf(`{"sql": %q, "mode": "exact", "explain": true}`, planSQL)
 	if code := post(t, ts.URL+apiv1.Path(apiv1.RouteQuery), body, &resp); code != 200 {
 		t.Fatalf("query returned %d", code)
 	}

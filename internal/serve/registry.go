@@ -726,24 +726,9 @@ const (
 	ModeExact
 )
 
-// ExecutorChoice selects the execution engine for one Query call.
-type ExecutorChoice int
-
-// Executor choices: auto runs the compiled columnar plan when the
-// query is plannable (falling back to the interpreter otherwise);
-// ExecInterpreted forces the row interpreter — the reference oracle —
-// which the differential tests and benchmarks pin against.
-const (
-	ExecAuto ExecutorChoice = iota
-	ExecInterpreted
-)
-
 // QueryOptions tunes one Query call.
 type QueryOptions struct {
 	Mode QueryMode
-	// Executor selects the execution engine (default ExecAuto: the
-	// compiled columnar plan when available).
-	Executor ExecutorChoice
 	// Compare additionally runs the exact query so the caller can report
 	// true per-group errors next to the estimates. Ignored when the
 	// answer is already exact.
@@ -783,9 +768,8 @@ type QueryAnswer struct {
 	// ExactResult is the ground truth, present only when
 	// QueryOptions.Compare was set and the answer is approximate.
 	ExactResult *exec.Result
-	// Plan is the compiled physical plan that computed Result; nil when
-	// the row interpreter answered (forced, or the query is outside the
-	// planner's subset).
+	// Plan is the compiled physical plan that computed Result (and
+	// ExactResult).
 	Plan *plan.Plan
 	// Degraded reports a load-shed answer: the query asked for a target
 	// CV but was answered from the cheapest resident sample instead
@@ -888,36 +872,13 @@ func (r *Registry) Query(ctx context.Context, sql string, opt QueryOptions) (*Qu
 		}
 	}
 	tr.Phase("exec")
-	res, err := r.runQuery(tbl, q, nil, nil, opt, ans)
-	if err != nil {
+	if ans.Plan, err = r.planFor(tbl, q); err != nil {
 		return nil, err
 	}
-	ans.Result = res
+	if ans.Result, err = ans.Plan.Execute(tbl, nil, nil); err != nil {
+		return nil, err
+	}
 	return ans, nil
-}
-
-// runQuery executes q over tbl (exact when rows is nil, weighted
-// otherwise) through the compiled columnar plan when one is available,
-// falling back to the row interpreter — for queries outside the
-// planner's subset, when the caller forces ExecInterpreted, or when a
-// cached plan no longer binds (stale schema). The chosen plan is
-// recorded on ans for EXPLAIN.
-func (r *Registry) runQuery(tbl *table.Table, q *sqlparse.Query, rows []int32, weights []float64, opt QueryOptions, ans *QueryAnswer) (*exec.Result, error) {
-	if opt.Executor != ExecInterpreted {
-		if p := r.planFor(tbl, q); p != nil {
-			res, err := p.Execute(tbl, rows, weights)
-			if err == nil {
-				ans.Plan = p
-				return res, nil
-			}
-			// bind failure: fall through to the interpreter
-		}
-		r.metrics.planFallbacks.Inc()
-	}
-	if rows == nil {
-		return exec.Run(tbl, q)
-	}
-	return exec.RunWeighted(tbl, q, rows, weights)
 }
 
 // answerFromEntry evaluates q over one built sample. Streaming entries
@@ -927,19 +888,21 @@ func (r *Registry) runQuery(tbl *table.Table, q *sqlparse.Query, rows []int32, w
 func (r *Registry) answerFromEntry(ctx context.Context, ans *QueryAnswer, tbl *table.Table, e *Entry, q *sqlparse.Query, opt QueryOptions) (*QueryAnswer, error) {
 	obs.TraceFromContext(ctx).Phase("exec")
 	execTbl := e.execTable(tbl)
-	res, err := r.runQuery(execTbl, q, e.Sample.Rows, e.Sample.Weights, opt, ans)
+	p, err := r.planFor(execTbl, q)
 	if err != nil {
 		return nil, err
 	}
-	ans.Result, ans.Entry = res, e
+	res, err := p.Execute(execTbl, e.Sample.Rows, e.Sample.Weights)
+	if err != nil {
+		return nil, err
+	}
+	ans.Plan, ans.Result, ans.Entry = p, res, e
 	if opt.Compare {
-		// the comparison baseline stays on the interpreter: it is the
-		// reference oracle the estimate is being judged against
-		exact, err := exec.Run(execTbl, q)
-		if err != nil {
+		// the baseline is the same plan over the whole table the sample
+		// was drawn from
+		if ans.ExactResult, err = p.Execute(execTbl, nil, nil); err != nil {
 			return nil, err
 		}
-		ans.ExactResult = exact
 	}
 	return ans, nil
 }

@@ -5,12 +5,16 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/plan"
+	"repro/internal/sqlparse"
 	"repro/internal/table"
 )
 
@@ -204,4 +208,106 @@ func TestTwoShardHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPlanForPanicReleasesKey: a panicking compile (here: a table with
+// a nil column, which only a bug could produce) is reported as the
+// query's error and leaves neither a cached plan nor a wedged
+// singleflight key behind.
+func TestPlanForPanicReleasesKey(t *testing.T) {
+	reg := NewRegistry(WithShards(1))
+	defer reg.Close()
+	broken := &table.Table{Name: "t", Columns: []*table.Column{nil}}
+	q, err := sqlparse.Parse("SELECT COUNT(*) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the second call would hang on a wedged key
+		if _, err := reg.planFor(broken, q); err == nil || !strings.Contains(err.Error(), "panic") {
+			t.Fatalf("call %d: err = %v, want the panic as an error", i, err)
+		}
+	}
+	sh := reg.shardFor("t")
+	if len(sh.plans) != 0 || len(sh.planFlight) != 0 {
+		t.Fatalf("plans = %d, in flight = %d, want both empty", len(sh.plans), len(sh.planFlight))
+	}
+}
+
+// TestSingleflightWaiters drives the waiter side of both singleflights
+// deterministically — the racing tests reach it only when the scheduler
+// cooperates — by parking an already-finished call under the key. A
+// plan waiter gets the leader's error, the leader's plan, or, when the
+// leader compiled for a same-named table of another schema, an
+// uncached plan of its own; a build waiter gets the leader's entry or
+// error.
+func TestSingleflightWaiters(t *testing.T) {
+	reg := NewRegistry(WithShards(1))
+	defer reg.Close()
+	tbl := shardTestTable(t, "t")
+	if err := reg.RegisterTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	sh := reg.shardFor("t")
+	done := make(chan struct{})
+	close(done)
+	boom := errors.New("boom")
+
+	q, err := sqlparse.Parse("SELECT region, AVG(amount) FROM t GROUP BY region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, err := plan.Compile(tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := table.New("t", table.Schema{
+		{Name: "amount", Kind: table.Float},
+		{Name: "region", Kind: table.String},
+	})
+	foreign, err := plan.Compile(swapped, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leader := range []*planCall{
+		{done: done, err: boom},
+		{done: done, plan: mine},
+		{done: done, plan: foreign},
+	} {
+		sh.mu.Lock()
+		sh.planFlight[q.String()] = leader
+		sh.mu.Unlock()
+		p, err := reg.planFor(tbl, q)
+		switch {
+		case leader.err != nil:
+			if !errors.Is(err, boom) {
+				t.Fatalf("waiter on a failed compile: err = %v, want the leader's", err)
+			}
+		case leader.plan == mine:
+			if err != nil || p != mine {
+				t.Fatalf("waiter got (%p, %v), want the leader's plan", p, err)
+			}
+		default:
+			if err != nil || p == foreign || !p.Binds(tbl) {
+				t.Fatalf("waiter on a foreign-schema leader got (%p, %v), want its own binding plan", p, err)
+			}
+		}
+	}
+	if len(sh.plans) != 0 {
+		t.Fatalf("waiters cached %d plans, want 0 (only leaders install)", len(sh.plans))
+	}
+
+	req := shardBuild("t", 30, 1)
+	entry := &Entry{Key: req.key(), Table: "t"}
+	for _, leader := range []*buildCall{
+		{done: done, err: boom},
+		{done: done, entry: entry},
+	} {
+		sh.mu.Lock()
+		sh.inflight[req.key()] = leader
+		sh.mu.Unlock()
+		e, cached, err := reg.Build(context.Background(), req)
+		if e != leader.entry || !cached || !errors.Is(err, leader.err) {
+			t.Fatalf("build waiter got (%p, %v, %v), want the leader's (%p, true, %v)", e, cached, err, leader.entry, leader.err)
+		}
+	}
 }

@@ -5,10 +5,10 @@ package sqlparse_test
 // renders to SQL that re-parses to the same canonical form (String is
 // a fixed point after one round). Every accepted query is then pushed
 // through the physical planner (internal/plan), which must never panic
-// — reject, yes; panic, no. And when the planner accepts a query, the
-// columnar execution must agree bit-for-bit with the row interpreter,
-// so the fuzzer searches for differential counterexamples too, not
-// just crashes.
+// and must reject exactly the queries the row interpreter rejects
+// (acceptance parity). When both accept, the columnar execution must
+// agree bit-for-bit with the interpreter, so the fuzzer searches for
+// differential counterexamples too, not just crashes.
 //
 // The test lives outside package sqlparse because the planner imports
 // sqlparse; an in-package test would be an import cycle.
@@ -110,6 +110,8 @@ func FuzzParse(f *testing.F) {
 		"SELECT COUNT_IF(v > 0.5), MIN(v), MAX(v), VAR(v), STDDEV(v) FROM t GROUP BY g",
 		"SELECT -a FROM t WHERE NOT x = 'it''s' OR y != 1e3",
 		"SELECT SUM(IF(v > 2, 1, 0)) / COUNT(*) FROM t GROUP BY g",
+		"SELECT g, AVG(IF(v > 0, v, a)), COUNT_IF(IF(y > 2, a, c) >= 'q') FROM t WHERE IF(b = 1, c, x) GROUP BY g",
+		"SELECT SUM(-IF(v > 0, IF(y = 1, a, b), v < 1)), COUNT_IF(a IN ('p', IF(x > 1, c, 2))) FROM t WHERE v BETWEEN IF(b > 0, a, -1) AND 3",
 		"SELECT",
 		"SELECT (((((a FROM t",
 		"'unterminated",
@@ -142,20 +144,20 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("render not canonical:\n%q\n%q", rendered, q2.String())
 		}
 
-		// planner round trip: Compile may reject any query, but must
-		// not panic, and an accepted plan must execute to the exact
-		// interpreter result
+		// planner round trip: Compile must not panic, must error iff
+		// the interpreter's compile errors, and an accepted plan must
+		// execute to the exact interpreter result
 		tbl, ok := tables[strings.ToLower(q.From)]
 		if !ok {
 			tbl = tables["t"]
 		}
-		p, err := plan.Compile(tbl, q)
-		if err != nil {
-			return
+		p, perr := plan.Compile(tbl, q)
+		want, ierr := exec.Run(tbl, q)
+		if (perr == nil) != (ierr == nil) {
+			t.Fatalf("acceptance differs on %q:\nplanner:     %v\ninterpreter: %v", rendered, perr, ierr)
 		}
-		want, err := exec.Run(tbl, q)
-		if err != nil {
-			t.Fatalf("planner accepted %q but the interpreter rejects it: %v", rendered, err)
+		if perr != nil {
+			return
 		}
 		got, err := p.Execute(tbl, nil, nil)
 		if err != nil {

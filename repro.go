@@ -18,9 +18,10 @@
 // The full machinery lives in the internal packages: internal/core (the
 // CVOPT allocation, Theorems 1-2, Lemmas 1-4, CVOPT-INF, workload
 // weights), internal/samplers (CVOPT plus the Uniform/CS/RL/Sample+Seek
-// competitors), internal/exec (the SQL subset engine), internal/datagen
-// (synthetic OpenAQ/Bikes) and internal/experiments (every table and
-// figure of the paper's evaluation; run them with cmd/cvbench).
+// competitors), internal/plan (the SQL subset engine; internal/exec is
+// its reference oracle), internal/datagen (synthetic OpenAQ/Bikes) and
+// internal/experiments (every table and figure of the paper's
+// evaluation; run them with cmd/cvbench).
 package repro
 
 import (
@@ -33,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/ingest"
+	"repro/internal/plan"
 	"repro/internal/samplers"
 	"repro/internal/serve"
 	"repro/internal/sqlparse"
@@ -155,7 +157,7 @@ func Answer(tbl *table.Table, s *Sample, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.RunWeighted(tbl, q, s.Rows, s.Weights)
+	return plan.Run(tbl, q, s.Rows, s.Weights)
 }
 
 // Exact evaluates sql exactly over the full table (the ground truth).
@@ -164,7 +166,7 @@ func Exact(tbl *table.Table, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.Run(tbl, q)
+	return plan.Run(tbl, q, nil, nil)
 }
 
 // WorkloadWeights deduces per-aggregation-group weights from a query

@@ -3,9 +3,10 @@
 # (the CVOPT core, the serving layer, the physical planner and the WAL
 # that crash recovery rides on) must not lose test coverage — a new
 # engine (e.g. the budget autoscaler) cannot land untested. Floors sit
-# at the coverage measured when each gate was introduced (core 88.8%,
-# serve 90.5%, plan 88.6%, wal 88.8%, qos 99.5%), minus a sliver of
-# refactoring headroom.
+# at the coverage measured when each gate was last set (core 88.8%,
+# serve 91.0% — the low end; racing double-checked-lock branches move
+# it up to 91.6% run to run — plan 89.6%, wal 88.8%, qos 99.5%), minus
+# a sliver of refactoring headroom.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,8 +30,8 @@ check() {
 }
 
 check ./internal/core 88.5
-check ./internal/serve 89.5
-check ./internal/plan 88.0
+check ./internal/serve 90.5
+check ./internal/plan 89.1
 check ./internal/wal 88.0
 check ./internal/qos 95.0
 
