@@ -15,8 +15,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // labelEscaper escapes label values per the exposition format.
@@ -105,24 +103,25 @@ func (f *family) render(w *strings.Builder) {
 // All series come from one frozen copy of the counters, so the
 // cumulative counts are monotone within a scrape.
 func (c *child) renderHistogram(w *strings.Builder, f *family) {
-	counts, total := c.hist.Latency().Buckets()
+	counts, total := c.hist.freeze()
 	cum := int64(0)
-	for i := 0; i < metrics.NumBuckets; i++ {
+	for i := 0; i < latencyBuckets; i++ {
 		cum += counts[i]
 		// skip interior zero-delta buckets to keep the exposition
 		// compact; the first and last bounds always render so parsers
 		// see the full range
-		if counts[i] == 0 && i != 0 && i != metrics.NumBuckets-1 {
+		if counts[i] == 0 && i != 0 && i != latencyBuckets-1 {
 			continue
 		}
-		le := seconds(metrics.BucketUpper(i))
+		_, upper := bucketBounds(i)
+		le := seconds(upper)
 		labels := renderLabels(f.labels, c.labelValues, `le="`+le+`"`)
 		fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labels, cum)
 	}
 	inf := renderLabels(f.labels, c.labelValues, `le="+Inf"`)
 	fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, inf, total)
 	plain := renderLabels(f.labels, c.labelValues, "")
-	fmt.Fprintf(w, "%s_sum%s %s\n", f.name, plain, seconds(c.hist.Latency().Sum()))
+	fmt.Fprintf(w, "%s_sum%s %s\n", f.name, plain, seconds(c.hist.Sum()))
 	fmt.Fprintf(w, "%s_count%s %d\n", f.name, plain, total)
 }
 

@@ -1,11 +1,12 @@
-package metrics
+package obs
 
-// Request-latency histograms for the serving layer's observability
-// (per-endpoint p50/p95/p99 in /healthz). A Histogram is a fixed set
-// of geometric buckets over lock-free atomic counters, so Observe on
-// the hot request path costs one atomic add and never blocks; quantile
-// estimation interpolates inside the bucket that crosses the rank,
-// which is exact to within one bucket's resolution (a factor of 2).
+// Duration histograms: the one recorder behind both the Prometheus
+// exposition (expose.go) and the per-endpoint p50/p95/p99 digests in
+// /healthz. A Histogram is a fixed set of geometric buckets over
+// lock-free atomic counters, so Observe on the hot request path costs
+// one atomic add and never blocks; quantile estimation interpolates
+// inside the bucket that crosses the rank, which is exact to within one
+// bucket's resolution (a factor of 2).
 
 import (
 	"math/bits"
@@ -22,25 +23,11 @@ const latencyBuckets = 32
 // bucketBase is the first bucket's upper bound.
 const bucketBase = time.Microsecond
 
-// NumBuckets is the number of geometric buckets a Histogram holds,
-// exported for renderers (the Prometheus exposition in internal/obs)
-// that walk the buckets directly.
-const NumBuckets = latencyBuckets
-
-// BucketUpper returns bucket i's inclusive upper bound (1µs << i).
-// Indexes outside [0, NumBuckets-1] are clamped.
-func BucketUpper(i int) time.Duration {
-	if i < 0 {
-		i = 0
-	}
-	if i >= latencyBuckets {
-		i = latencyBuckets - 1
-	}
-	return bucketBase << i
-}
-
 // Histogram counts observations in geometric latency buckets. The
-// zero value is ready to use; all methods are safe for concurrent use.
+// zero value is ready to use (Registry.Histogram and HistogramVec.With
+// hand out registered ones); all methods are safe for concurrent use.
+// Exposition renders the buckets cumulatively with le bounds in
+// seconds.
 type Histogram struct {
 	counts [latencyBuckets]atomic.Int64
 	total  atomic.Int64
@@ -86,19 +73,10 @@ func (h *Histogram) Count() int64 { return h.total.Load() }
 // a Prometheus histogram exposition).
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
 
-// Buckets returns a frozen copy of the per-bucket counts and their
-// total. Bucket i counts observations in (BucketUpper(i-1),
-// BucketUpper(i)]; durations beyond the last bound land in the last
-// bucket. One frozen copy keeps a rendered digest self-consistent
-// under concurrent Observes.
-func (h *Histogram) Buckets() (counts [NumBuckets]int64, total int64) {
-	return h.freeze()
-}
-
 // freeze loads every bucket counter once and returns the frozen copy
-// plus its total. All quantiles of one digest are computed from one
-// frozen copy, so concurrent Observes cannot make p95 > p99 inside a
-// single snapshot.
+// plus its total. All quantiles of one digest — and all bucket series
+// of one scrape — are computed from one frozen copy, so concurrent
+// Observes cannot make p95 > p99 inside a single snapshot.
 func (h *Histogram) freeze() (counts [latencyBuckets]int64, total int64) {
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()

@@ -8,11 +8,9 @@
 // concurrent use and the hot-path operations (Counter.Inc,
 // Histogram.Observe) are single atomic adds — no locks, no allocation.
 //
-// The package deliberately has no repro-specific imports beyond
-// internal/metrics (whose lock-free geometric histogram backs
-// Histogram): wire shapes for the JSON debug surfaces live in
-// internal/api/v1, converted by the serve layer, so obs itself never
-// defines a wire contract.
+// The package deliberately has no repro-specific imports: wire shapes
+// for the JSON debug surfaces live in internal/api/v1, converted by the
+// serve layer, so obs itself never defines a wire contract.
 package obs
 
 import (
@@ -21,9 +19,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/metrics"
 )
 
 // Metric type strings, as emitted in the # TYPE exposition line.
@@ -70,25 +65,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Histogram is a duration histogram handle over the serving layer's
-// lock-free geometric buckets (internal/metrics): Observe is one
-// atomic add per bucket and never blocks. Exposition renders the
-// buckets cumulatively with le bounds in seconds.
-type Histogram struct {
-	h metrics.Histogram
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) { h.h.Observe(d) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.h.Count() }
-
-// Latency exposes the underlying quantile-capable histogram, so ops
-// surfaces that report digests (/healthz p50/p95/p99) and the
-// Prometheus exposition share one set of counters.
-func (h *Histogram) Latency() *metrics.Histogram { return &h.h }
 
 // family is one registered metric name: its metadata plus the children
 // keyed by label values. Unlabeled metrics are a family with a single

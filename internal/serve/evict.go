@@ -54,10 +54,10 @@ func (r *Registry) ResidentSampleBytes() int64 { return r.residentBytes.Load() }
 func (r *Registry) MaxSampleBytes() int64 { return r.maxSampleBytes }
 
 // Evictions returns how many entries the byte budget has evicted.
-func (r *Registry) Evictions() int64 { return r.evictions.Load() }
+func (r *Registry) Evictions() int64 { return r.metrics.evictions.Value() }
 
 // EvictedBytes returns the total estimated bytes eviction has freed.
-func (r *Registry) EvictedBytes() int64 { return r.evictedBytes.Load() }
+func (r *Registry) EvictedBytes() int64 { return r.metrics.evictedBytes.Value() }
 
 // victim identifies one eviction candidate and the signals it is
 // ranked by.
@@ -107,8 +107,6 @@ func (r *Registry) maybeEvict() {
 		if e, present := v.sh.entries[v.key]; present && !v.sh.pinnedLocked(e) {
 			delete(v.sh.entries, v.key)
 			r.residentBytes.Add(-e.size)
-			r.evictions.Add(1)
-			r.evictedBytes.Add(e.size)
 			r.metrics.evictions.Inc()
 			r.metrics.evictedBytes.Add(e.size)
 			evicted = true

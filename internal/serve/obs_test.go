@@ -2,16 +2,22 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
 	apiv1 "repro/internal/api/v1"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 // getBody fetches a URL and returns status and raw body.
@@ -96,6 +102,10 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := resp.Header.Get("Content-Type")
+	// drain before closing so the connection is reused: the server then
+	// finishes counting this request before it reads the next one, and
+	// the self-count assertion below cannot race the instrument's tail
+	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("Content-Type = %q, want the 0.0.4 exposition type", ct)
@@ -168,19 +178,33 @@ func TestServerInlineTraceAndDebugRequests(t *testing.T) {
 	if built.Trace.Route != apiv1.RouteBuildSample || built.Trace.RequestID == "" {
 		t.Fatalf("trace header: %+v", built.Trace)
 	}
-	phases := map[string]bool{}
+	var names []string
 	var spanSum float64
 	for _, sp := range built.Trace.Spans {
-		phases[sp.Name] = true
+		names = append(names, sp.Name)
 		spanSum += sp.DurationMS
 	}
 	// a fixed-budget build on a cold cache: decode, the sample draw,
-	// encode (build_wait and autoscale only appear when a request
-	// waits on an in-flight build or runs the budget probe)
-	for _, want := range []string{"decode", "draw", "encode"} {
-		if !phases[want] {
-			t.Errorf("build trace missing phase %q: %+v", want, built.Trace.Spans)
-		}
+	// encode — exactly, in order (build_wait only appears when a request
+	// waits on an in-flight build)
+	if got := strings.Join(names, ", "); got != "decode, draw, encode" {
+		t.Errorf("budgeted build trace phases = %s, want decode, draw, encode", got)
+	}
+	// a target_cv build runs the same pipeline with the budget search
+	// between the statistics pass and the draw
+	if code := post(t, ts.URL+"/v1/samples", `{
+		"table": "sales",
+		"queries": [{"group_by": ["region"], "aggs": [{"column": "amount"}]}],
+		"target_cv": 0.2, "debug": true
+	}`, &built); code != http.StatusCreated {
+		t.Fatalf("autoscaled build: %d", code)
+	}
+	names = names[:0]
+	for _, sp := range built.Trace.Spans {
+		names = append(names, sp.Name)
+	}
+	if got := strings.Join(names, ", "); got != "decode, autoscale, draw, encode" {
+		t.Errorf("autoscaled build trace phases = %s, want decode, autoscale, draw, encode", got)
 	}
 	// the inline trace is snapshotted mid-flight (before the response
 	// is written), so spans sum to at most the final duration — and
@@ -365,4 +389,149 @@ func TestServerStructuredRequestLog(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("nil-logger server: %d", rec.Code)
 	}
+}
+
+// TestHealthzAndMetricsAgree drives one durable registry through every
+// event that is reported on both ops surfaces — a build, a cached
+// build, a sample eviction, a plan eviction, a spill save, checkpoints
+// with segment truncation, and a Close with rows still pending — then
+// boots a second registry off a crash image of the same data dir (a
+// torn WAL tail, an unreadable spill, a spill load, a replay) and
+// closes it the same way. On both, every number the registry's ops
+// accessors report (what /healthz renders) must equal the series
+// /metrics renders for it.
+func TestHealthzAndMetricsAgree(t *testing.T) {
+	ctx := context.Background()
+	po := serve.PersistOptions{
+		Dir:             t.TempDir(),
+		Fsync:           wal.SyncAlways,
+		CheckpointBytes: 16 << 10,
+		SegmentBytes:    4 << 10,
+	}
+	// the pinned streaming sample (300 rows x 28 B) plus one static
+	// sample (200 rows x 24 B) fit the byte budget, a second static one
+	// does not; one plan per shard makes the second query shape evict
+	opts := []serve.Option{serve.WithPersistence(po), serve.WithMaxSampleBytes(14000), serve.WithMaxPlans(1)}
+	agree := func(reg *serve.Registry, nonzero ...string) {
+		t.Helper()
+		ps, ok := reg.PersistenceStatus()
+		if !ok {
+			t.Fatal("no persistence status")
+		}
+		var b strings.Builder
+		reg.Obs().Render(&b)
+		for series, healthz := range map[string]int64{
+			serve.MetricBuilds:               reg.Builds(),
+			serve.MetricEvictions:            reg.Evictions(),
+			serve.MetricEvictedBytes:         reg.EvictedBytes(),
+			serve.MetricPlanEvictions:        reg.PlanEvictions(),
+			serve.MetricWalCheckpoints:       ps.Checkpoints,
+			serve.MetricWalTruncatedSegments: ps.TruncatedSegments,
+			serve.MetricWalSpillSaves:        ps.SpillSaves,
+			serve.MetricWalSpillLoads:        ps.SpillLoads,
+			serve.MetricWalReplayedRecords:   ps.ReplayedRecords,
+			serve.MetricWalTornTails:         ps.TornTails,
+			serve.MetricWalErrors:            ps.Errors,
+		} {
+			if got := metricValue(b.String(), series); got != float64(healthz) {
+				t.Errorf("%s renders %g, the registry reports %d", series, got, healthz)
+			}
+		}
+		for _, series := range nonzero {
+			if metricValue(b.String(), series) <= 0 {
+				t.Errorf("%s = %g: the scenario no longer exercises it", series, metricValue(b.String(), series))
+			}
+		}
+	}
+	// drive appends a batch of pending rows after each of `rounds`
+	// append+refresh cycles, so Close has something to flush
+	drive := func(reg *serve.Registry, rounds int) {
+		t.Helper()
+		st, _ := reg.StreamStatus("sales")
+		rows := st.Rows
+		for i := 0; i <= rounds; i++ {
+			if _, err := reg.Append("sales", streamRows(rows, 200)); err != nil {
+				t.Fatal(err)
+			}
+			rows += 200
+			if i < rounds {
+				if _, err := reg.Refresh("sales"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	regA := serve.NewRegistry(opts...)
+	t.Cleanup(regA.Close)
+	if err := regA.RegisterTable(evictTable(t, "static", 3000)); err != nil {
+		t.Fatal(err)
+	}
+	kept := evictBuild("static", 200)
+	for _, wantCached := range []bool{false, true} {
+		if _, cached, err := regA.Build(ctx, kept); err != nil || cached != wantCached {
+			t.Fatalf("build: cached=%v err=%v, want cached=%v", cached, err, wantCached)
+		}
+	}
+	if err := regA.RegisterStreamingTable(salesTable(t), persistStreamCfg(300)); err != nil {
+		t.Fatal(err)
+	}
+	evicted := evictBuild("static", 200)
+	evicted.Seed = 8 // never hit, so it is the one the byte budget evicts
+	if _, _, err := regA.Build(ctx, evicted); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT region, AVG(amount) FROM static GROUP BY region",
+		"SELECT region, SUM(amount) FROM static GROUP BY region",
+	} {
+		if _, err := regA.Query(ctx, sql, serve.QueryOptions{Mode: serve.ModeExact}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drive(regA, 20)
+
+	// the crash image: the data dir as it is now, plus what a kill -9
+	// mid-write leaves behind
+	image := t.TempDir()
+	if err := os.CopyFS(image, os.DirFS(po.Dir)); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(image, "tables", "sales", "wal", "*.seg"))
+	if len(segs) == 0 {
+		t.Fatal("no wal segments in the crash image")
+	}
+	sort.Strings(segs)
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x42, 0x00, 0x00, 0x00, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := os.WriteFile(filepath.Join(image, "samples", "deadbeefdeadbeef.smp"), []byte("short"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	regA.Close()
+	agree(regA, serve.MetricBuilds, serve.MetricEvictions, serve.MetricEvictedBytes, serve.MetricPlanEvictions,
+		serve.MetricWalCheckpoints, serve.MetricWalTruncatedSegments, serve.MetricWalSpillSaves)
+
+	po.Dir = image
+	regB := serve.NewRegistry(serve.WithPersistence(po))
+	t.Cleanup(regB.Close)
+	if err := regB.RegisterTable(evictTable(t, "static", 3000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := regB.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, cached, err := regB.Build(ctx, kept); err != nil || !cached {
+		t.Fatalf("post-recovery build should load the spill: cached=%v err=%v", cached, err)
+	}
+	drive(regB, 0)
+	regB.Close()
+	agree(regB, serve.MetricWalCheckpoints, serve.MetricWalSpillLoads, serve.MetricWalReplayedRecords,
+		serve.MetricWalTornTails, serve.MetricWalErrors)
 }

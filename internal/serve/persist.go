@@ -33,7 +33,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -90,18 +89,13 @@ func WithPersistence(o PersistOptions) Option {
 		if o.Dir == "" {
 			return
 		}
-		r.persist = &persister{
-			opts:   o.withDefaults(),
-			tables: make(map[string]*tableStore),
-			spills: make(map[string]string),
-		}
+		r.persist = &persister{opts: o.withDefaults(), spills: make(map[string]string)}
 	}
 }
 
-// tableStore is the persistence handle of one streaming table.
+// tableStore is one streaming table's persistence handle (streamState.store).
 type tableStore struct {
-	name string
-	log  *wal.Log
+	log *wal.Log // nil only while checkpoint-0 is being written
 	// ckptBusy admits one checkpoint writer at a time without a lock
 	// (checkpointing fsyncs, so it must never run under a mutex).
 	ckptBusy atomic.Bool
@@ -109,24 +103,15 @@ type tableStore struct {
 	ckptGen  atomic.Uint64 // generation of the latest checkpoint
 }
 
-// persister is the registry's persistence state. Counters are atomics
-// read by /healthz and the repro_wal_* gauges.
+// persister is the registry's persistence state. Events are counted on
+// their repro_wal_* handles (srvMetrics); recovered has no series.
 type persister struct {
 	opts PersistOptions
 
 	mu     sync.Mutex
-	tables map[string]*tableStore
 	spills map[string]string // registry key -> spill file path
 
-	checkpoints   atomic.Int64
-	truncatedSegs atomic.Int64
-	tornTails     atomic.Int64
-	errors        atomic.Int64
-	spillSaves    atomic.Int64
-	spillLoads    atomic.Int64
-	recovered     atomic.Int64
-	replayed      atomic.Int64
-	replayNanos   atomic.Int64
+	recovered atomic.Int64 // streaming tables rebuilt by Recover
 
 	closeOnce sync.Once
 }
@@ -136,9 +121,7 @@ func (p *persister) tableDir(name string) string {
 }
 
 func (p *persister) samplePath(key string) string {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return filepath.Join(p.opts.Dir, "samples", fmt.Sprintf("%016x.smp", h.Sum64()))
+	return filepath.Join(p.opts.Dir, "samples", fmt.Sprintf("%016x.smp", hash64(key)))
 }
 
 func (p *persister) walOptions() wal.Options {
@@ -147,12 +130,6 @@ func (p *persister) walOptions() wal.Options {
 		Policy:       p.opts.Fsync,
 		SyncEvery:    p.opts.SyncEvery,
 	}
-}
-
-func (p *persister) store(name string) *tableStore {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tables[name]
 }
 
 // toWalConfig mirrors an ingest config into its persisted form. The
@@ -193,9 +170,7 @@ func resolveStreamSeed(seed int64, name string) int64 {
 	if seed != 0 {
 		return seed
 	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64() >> 1)
+	return int64(hash64(name) >> 1)
 }
 
 // remixSeed derives the sampler seed for a recovery from a mid-life
@@ -207,9 +182,7 @@ func remixSeed(seed int64, seq uint64) int64 {
 	var b [16]byte
 	binary.LittleEndian.PutUint64(b[:8], uint64(seed))
 	binary.LittleEndian.PutUint64(b[8:], seq)
-	h := fnv.New64a()
-	h.Write(b[:])
-	v := int64(h.Sum64() >> 1)
+	v := int64(hash64(string(b[:])) >> 1)
 	if v == 0 {
 		v = 1 // 0 would re-derive from the table name
 	}
@@ -221,90 +194,55 @@ func remixSeed(seed int64, seq uint64) int64 {
 // checkpoint-0 from the stream's initial publication, opens the WAL and
 // attaches it. Runs before the stream becomes reachable, so no append
 // can slip in unlogged. No locks held.
-func (r *Registry) attachPersistence(st *ingest.Stream, name string, cfg ingest.Config) error {
+func (r *Registry) attachPersistence(st *streamState) error {
 	p := r.persist
+	name := st.stream.Name()
+	fail := func(err error) error { return fmt.Errorf("serve: persisting %q: %w", name, err) }
 	td := p.tableDir(name)
 	if err := os.RemoveAll(td); err != nil {
-		return fmt.Errorf("serve: persisting %q: %w", name, err)
+		return fail(err)
 	}
 	if err := os.MkdirAll(td, 0o755); err != nil {
-		return fmt.Errorf("serve: persisting %q: %w", name, err)
+		return fail(err)
 	}
-	pub := st.Last()
-	cp := &wal.Checkpoint{
-		Table:      name,
-		Seq:        0,
-		Generation: pub.Generation,
-		Config:     toWalConfig(cfg),
-		Snapshot:   pub.Snapshot,
-	}
-	if err := wal.WriteCheckpoint(filepath.Join(td, "checkpoint"), cp, p.opts.Fsync != wal.SyncNever); err != nil {
-		return fmt.Errorf("serve: persisting %q: %w", name, err)
+	st.store = &tableStore{}
+	if err := r.cutCheckpoint(st, st.stream.Last()); err != nil {
+		return fail(err)
 	}
 	log, err := wal.Open(filepath.Join(td, "wal"), p.walOptions())
 	if err != nil {
-		return fmt.Errorf("serve: persisting %q: %w", name, err)
+		return fail(err)
 	}
-	st.SetWAL(log)
-	ts := &tableStore{name: name, log: log}
-	ts.ckptGen.Store(pub.Generation)
-	p.mu.Lock()
-	p.tables[name] = ts
-	p.mu.Unlock()
+	st.store.log = log
+	st.stream.SetWAL(log)
 	return nil
-}
-
-// detachPersistence rolls back attachPersistence when the registration
-// ultimately fails (Close won the race): the log is closed and the
-// table directory removed, so the next boot does not resurrect a table
-// that was never registered.
-func (r *Registry) detachPersistence(name string) {
-	p := r.persist
-	p.mu.Lock()
-	ts := p.tables[name]
-	delete(p.tables, name)
-	p.mu.Unlock()
-	if ts != nil {
-		ts.log.Close()
-	}
-	os.RemoveAll(p.tableDir(name))
 }
 
 // persistCommit makes a streaming table's acknowledged WAL records
 // durable per the fsync policy, then considers a checkpoint. Called
 // from Registry.Append and Registry.Refresh after the stream call
-// returns — outside every lock.
-func (r *Registry) persistCommit(name string) error {
-	p := r.persist
-	if p == nil {
+// returns — outside every lock, and taking none of the registry's.
+func (r *Registry) persistCommit(st *streamState) error {
+	if st.store == nil {
 		return nil
 	}
-	ts := p.store(name)
-	if ts == nil {
-		return nil
-	}
-	if err := ts.log.Commit(); err != nil {
-		p.errors.Add(1)
+	if err := st.store.log.Commit(); err != nil {
 		r.metrics.walErrors.Inc()
-		return fmt.Errorf("serve: wal commit for %q: %w", name, err)
+		return fmt.Errorf("serve: wal commit for %q: %w", st.stream.Name(), err)
 	}
-	r.maybeCheckpoint(ts)
+	r.maybeCheckpoint(st)
 	return nil
 }
 
 // maybeCheckpoint cuts a new checkpoint once the table's WAL outgrows
 // the configured threshold and the latest publication covers records
-// past the previous checkpoint, then truncates covered segments. The
-// publication's snapshot is immutable and its WalSeq names the exact
-// prefix it covers, so no stream or shard lock is needed; the busy flag
-// keeps concurrent committers from double-writing.
-func (r *Registry) maybeCheckpoint(ts *tableStore) {
-	p := r.persist
-	if ts.log.SizeBytes() < p.opts.CheckpointBytes {
-		return
-	}
-	st, err := r.streamFor(ts.name)
-	if err != nil {
+// past the previous checkpoint. The publication's snapshot is immutable
+// and its WalSeq names the exact prefix it covers, so no stream or
+// shard lock is needed; the busy flag keeps concurrent committers from
+// double-writing.
+func (r *Registry) maybeCheckpoint(st *streamState) {
+	ts := st.store
+	if ts.log.SizeBytes() < r.persist.opts.CheckpointBytes {
 		return
 	}
 	pub := st.stream.Last()
@@ -315,31 +253,41 @@ func (r *Registry) maybeCheckpoint(ts *tableStore) {
 		return
 	}
 	defer ts.ckptBusy.Store(false)
+	if err := r.cutCheckpoint(st, pub); err != nil {
+		r.metrics.walErrors.Inc()
+	}
+}
+
+// cutCheckpoint is the one checkpoint writer: it writes pub as the
+// table's checkpoint, advances the covered horizon and deletes the WAL
+// segments now covered. A failed write (the previous checkpoint stays
+// valid) is the caller's to count or return. Checkpoint-0, written
+// before the log exists, covers nothing and is not counted as a cut.
+// The caller holds no lock and, on a reachable table, the busy flag.
+func (r *Registry) cutCheckpoint(st *streamState, pub *ingest.Publication) error {
+	p, ts, name := r.persist, st.store, st.stream.Name()
 	cp := &wal.Checkpoint{
-		Table:      ts.name,
+		Table:      name,
 		Seq:        pub.WalSeq,
 		Generation: pub.Generation,
 		Config:     toWalConfig(st.cfg),
 		Snapshot:   pub.Snapshot,
 	}
-	if err := wal.WriteCheckpoint(filepath.Join(p.tableDir(ts.name), "checkpoint"), cp, p.opts.Fsync != wal.SyncNever); err != nil {
-		p.errors.Add(1)
-		r.metrics.walErrors.Inc()
-		return
+	if err := wal.WriteCheckpoint(filepath.Join(p.tableDir(name), "checkpoint"), cp, p.opts.Fsync != wal.SyncNever); err != nil {
+		return err
 	}
 	ts.ckptSeq.Store(pub.WalSeq)
 	ts.ckptGen.Store(pub.Generation)
-	p.checkpoints.Add(1)
+	if ts.log == nil {
+		return nil
+	}
 	r.metrics.walCheckpoints.Inc()
 	n, err := ts.log.TruncateThrough(pub.WalSeq)
 	if err != nil {
-		p.errors.Add(1)
 		r.metrics.walErrors.Inc()
 	}
-	if n > 0 {
-		p.truncatedSegs.Add(int64(n))
-		r.metrics.walTruncatedSegs.Add(int64(n))
-	}
+	r.metrics.walTruncatedSegs.Add(int64(n))
+	return nil
 }
 
 // RecoveryReport summarizes one Registry.Recover run.
@@ -386,7 +334,6 @@ func (r *Registry) Recover(ctx context.Context) (RecoveryReport, error) {
 			path := filepath.Join(sdir, de.Name())
 			hdr, err := wal.ReadSampleHeader(path)
 			if err != nil {
-				p.errors.Add(1)
 				r.metrics.walErrors.Inc()
 				os.Remove(path)
 				continue
@@ -430,9 +377,6 @@ func (r *Registry) Recover(ctx context.Context) (RecoveryReport, error) {
 
 	rep.Duration = time.Since(start)
 	p.recovered.Add(int64(rep.Tables))
-	p.replayed.Add(int64(rep.ReplayedRecords))
-	p.tornTails.Add(int64(rep.TornTails))
-	p.replayNanos.Add(int64(rep.Duration))
 	r.metrics.walReplayedRecords.Add(int64(rep.ReplayedRecords))
 	r.metrics.walTornTails.Add(int64(rep.TornTails))
 	if rep.Tables > 0 {
@@ -478,26 +422,32 @@ func (r *Registry) recoverTable(ctx context.Context, td string, cp *wal.Checkpoi
 	sh.mu.Unlock()
 	r.regMu.Unlock()
 
-	rollback := func() {
-		sh.mu.Lock()
-		delete(sh.streams, name)
-		sh.mu.Unlock()
-	}
-
-	key := streamKey(name, cfg.Queries)
+	// from here on, every failure releases the reservation and closes
+	// whatever was opened on the way
+	state := &streamState{key: streamKey(name, cfg.Queries), cfg: cfg}
+	var log *wal.Log
+	defer func() {
+		if err == nil {
+			return
+		}
+		sh.unreserve(name)
+		if state.stream != nil {
+			state.stream.Close()
+		}
+		if log != nil {
+			log.Close()
+		}
+		err = fmt.Errorf("serve: recovering %q: %w", name, err)
+	}()
 	st, err := ingest.New(cp.Snapshot, cfg, func(pub *ingest.Publication) {
-		r.installPublication(sh, name, key, cfg, pub)
+		r.installPublication(sh, name, state, pub)
 	})
 	if err != nil {
-		rollback()
-		return 0, 0, fmt.Errorf("serve: recovering %q: %w", name, err)
+		return 0, 0, err
 	}
-
-	log, err := wal.Open(filepath.Join(td, "wal"), p.walOptions())
-	if err != nil {
-		rollback()
-		st.Close()
-		return 0, 0, fmt.Errorf("serve: recovering %q: %w", name, err)
+	state.stream = st
+	if log, err = wal.Open(filepath.Join(td, "wal"), p.walOptions()); err != nil {
+		return 0, 0, err
 	}
 	torn = log.TornTails()
 
@@ -533,29 +483,21 @@ func (r *Registry) recoverTable(ctx context.Context, td string, cp *wal.Checkpoi
 		return nil
 	})
 	if err != nil {
-		rollback()
-		st.Close()
-		log.Close()
-		return replayed, torn, fmt.Errorf("serve: recovering %q: %w", name, err)
+		return replayed, torn, err
 	}
 
+	// only now: replay's publications ran unlogged by design, and
+	// installPublication counts an unlogged one as a fault once store is set
+	state.store = &tableStore{log: log}
+	state.store.ckptSeq.Store(cp.Seq)
+	state.store.ckptGen.Store(cp.Generation)
 	st.SetWAL(log)
-	ts := &tableStore{name: name, log: log}
-	ts.ckptSeq.Store(cp.Seq)
-	ts.ckptGen.Store(cp.Generation)
-	p.mu.Lock()
-	p.tables[name] = ts
-	p.mu.Unlock()
-
 	sh.mu.Lock()
 	if r.closed.Load() {
-		delete(sh.streams, name)
 		sh.mu.Unlock()
-		st.Close()
-		log.Close()
-		return replayed, torn, fmt.Errorf("serve: recovering %q: %w", name, ErrClosed)
+		return replayed, torn, ErrClosed
 	}
-	sh.streams[name] = &streamState{stream: st, key: key, cfg: cfg}
+	sh.streams[name] = state
 	sh.mu.Unlock()
 	st.Resume()
 	return replayed, torn, nil
@@ -581,19 +523,13 @@ func (r *Registry) loadSpilled(key string, tbl *table.Table) (*Entry, bool) {
 	if err != nil || se.Key != key || se.TableRows != tbl.NumRows() ||
 		se.SchemaSig != wal.SchemaSignature(tbl.Schema()) {
 		if err != nil {
-			p.errors.Add(1)
 			r.metrics.walErrors.Inc()
 		}
 		r.dropSpilled(key)
 		return nil, false
 	}
-	attrs := make(map[string]bool)
-	for _, q := range se.Queries {
-		for _, a := range q.GroupBy {
-			attrs[a] = true
-		}
-	}
-	e := &Entry{
+	r.metrics.walSpillLoads.Inc()
+	return r.finishEntry(&Entry{
 		Key:           key,
 		Table:         tbl.Name,
 		Budget:        se.Budget,
@@ -605,14 +541,7 @@ func (r *Registry) loadSpilled(key string, tbl *table.Table) (*Entry, bool) {
 		Sample:        &samplers.RowSample{Rows: se.Rows, Weights: se.Weights},
 		BuiltAt:       se.BuiltAt,
 		BuildDuration: se.BuildDuration,
-		attrs:         attrs,
-		popRows:       tbl.NumRows(),
-	}
-	e.size = entrySizeBytes(e.Sample, tbl.Schema())
-	e.lastUsed.Store(r.useClock.Add(1))
-	p.spillLoads.Add(1)
-	r.metrics.walSpillLoads.Inc()
-	return e, true
+	}, tbl), true
 }
 
 // saveSpilled persists a freshly-built static sample, best-effort: a
@@ -640,12 +569,10 @@ func (r *Registry) saveSpilled(e *Entry, tbl *table.Table) {
 	}
 	path := p.samplePath(e.Key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		p.errors.Add(1)
 		r.metrics.walErrors.Inc()
 		return
 	}
 	if err := wal.WriteSample(path, se, p.opts.Fsync != wal.SyncNever); err != nil {
-		p.errors.Add(1)
 		r.metrics.walErrors.Inc()
 		os.Remove(path)
 		return
@@ -653,7 +580,6 @@ func (r *Registry) saveSpilled(e *Entry, tbl *table.Table) {
 	p.mu.Lock()
 	p.spills[e.Key] = path
 	p.mu.Unlock()
-	p.spillSaves.Add(1)
 	r.metrics.walSpillSaves.Inc()
 }
 
@@ -678,50 +604,30 @@ func (r *Registry) dropSpilled(key string) {
 // checkpoint per table whose generations advanced past the last one
 // (Registry.Close just flushed pending rows into a publication), then
 // the final WAL sync. Idempotent.
-func (r *Registry) closePersist() {
+func (r *Registry) closePersist(states []*streamState) {
 	p := r.persist
 	if p == nil {
 		return
 	}
 	p.closeOnce.Do(func() {
-		p.mu.Lock()
-		stores := make([]*tableStore, 0, len(p.tables))
-		for _, ts := range p.tables {
-			stores = append(stores, ts)
-		}
-		p.mu.Unlock()
-		for _, ts := range stores {
-			if st, err := r.streamFor(ts.name); err == nil {
-				pub := st.stream.Last()
-				if pub != nil && pub.WalSeq > ts.ckptSeq.Load() && pub.Generation > ts.ckptGen.Load() {
-					cp := &wal.Checkpoint{
-						Table:      ts.name,
-						Seq:        pub.WalSeq,
-						Generation: pub.Generation,
-						Config:     toWalConfig(st.cfg),
-						Snapshot:   pub.Snapshot,
-					}
-					if err := wal.WriteCheckpoint(filepath.Join(p.tableDir(ts.name), "checkpoint"), cp, p.opts.Fsync != wal.SyncNever); err != nil {
-						p.errors.Add(1)
-					} else {
-						ts.ckptSeq.Store(pub.WalSeq)
-						ts.ckptGen.Store(pub.Generation)
-						p.checkpoints.Add(1)
-						if n, err := ts.log.TruncateThrough(pub.WalSeq); err == nil && n > 0 {
-							p.truncatedSegs.Add(int64(n))
-						}
-					}
+		for _, st := range states {
+			ts := st.store
+			pub := st.stream.Last()
+			if pub != nil && pub.WalSeq > ts.ckptSeq.Load() && pub.Generation > ts.ckptGen.Load() {
+				if err := r.cutCheckpoint(st, pub); err != nil {
+					r.metrics.walErrors.Inc()
 				}
 			}
 			if err := ts.log.Close(); err != nil {
-				p.errors.Add(1)
+				r.metrics.walErrors.Inc()
 			}
 		}
 	})
 }
 
 // PersistenceStatus is the ops view of the persistence layer, surfaced
-// on /healthz and behind the repro_wal_* gauges.
+// on /healthz and behind the repro_wal_* gauges; its counts are the
+// repro_wal_*_total handles' values.
 type PersistenceStatus struct {
 	// Dir is the data directory; Fsync the WAL durability policy.
 	Dir   string
@@ -760,27 +666,25 @@ func (r *Registry) PersistenceStatus() (PersistenceStatus, bool) {
 	if p == nil {
 		return PersistenceStatus{}, false
 	}
+	m := r.metrics
 	s := PersistenceStatus{
 		Dir:               p.opts.Dir,
 		Fsync:             p.opts.Fsync.String(),
-		Checkpoints:       p.checkpoints.Load(),
-		TruncatedSegments: p.truncatedSegs.Load(),
-		SpillSaves:        p.spillSaves.Load(),
-		SpillLoads:        p.spillLoads.Load(),
+		Checkpoints:       m.walCheckpoints.Value(),
+		TruncatedSegments: m.walTruncatedSegs.Value(),
+		SpillSaves:        m.walSpillSaves.Value(),
+		SpillLoads:        m.walSpillLoads.Value(),
 		RecoveredTables:   p.recovered.Load(),
-		ReplayedRecords:   p.replayed.Load(),
-		TornTails:         p.tornTails.Load(),
-		ReplayDuration:    time.Duration(p.replayNanos.Load()),
-		Errors:            p.errors.Load(),
+		ReplayedRecords:   m.walReplayedRecords.Value(),
+		TornTails:         m.walTornTails.Value(),
+		ReplayDuration:    m.walReplayDuration.Sum(),
+		Errors:            m.walErrors.Value(),
 	}
 	p.mu.Lock()
 	s.SpilledSamples = len(p.spills)
-	stores := make([]*tableStore, 0, len(p.tables))
-	for _, ts := range p.tables {
-		stores = append(stores, ts)
-	}
 	p.mu.Unlock()
-	for _, ts := range stores {
+	for _, st := range r.streamStates() {
+		ts := st.store
 		s.WalSegments += ts.log.Segments()
 		s.WalBytes += ts.log.SizeBytes()
 		if last, ckpt := ts.log.LastSeq(), ts.ckptSeq.Load(); last > ckpt {

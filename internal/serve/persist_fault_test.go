@@ -5,12 +5,14 @@ package serve_test
 // as fatal recovery errors, leftover junk (checkpoint-less table dirs,
 // unreadable spill files) being cleaned up rather than trusted, and
 // recovery of a stream that ran with the derived default seed from a
-// mid-life checkpoint.
+// mid-life checkpoint, and a publication whose refresh record cannot
+// reach the WAL being counted as a persistence fault.
 
 import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/serve"
@@ -289,6 +291,48 @@ func TestVanishedSpillFallsBackToRebuild(t *testing.T) {
 	}
 	if _, cached, err := regB.Build(context.Background(), buildReq(200)); err != nil || cached {
 		t.Fatalf("a vanished spill must rebuild: cached=%v err=%v", cached, err)
+	}
+}
+
+// TestUnloggedPublicationIsCounted: a publication whose refresh record
+// fails to reach the attached WAL still serves (the rows are in memory),
+// but a replay will not re-finalize there and no checkpoint can be cut
+// at it — the fault must show on the one persistence error counter,
+// /healthz and /metrics alike. The log is made to fail on exactly that
+// append: with the WAL directory gone the open segment still takes
+// writes through its handle, a batch larger than a whole segment lands
+// in the still-empty active segment without rotating, and the refresh
+// record behind it must rotate and cannot.
+func TestUnloggedPublicationIsCounted(t *testing.T) {
+	dir := t.TempDir()
+	opts := persistOpts(dir)
+	opts.SegmentBytes = 4 << 10
+	reg := serve.NewRegistry(serve.WithPersistence(opts))
+	t.Cleanup(reg.Close)
+	if err := reg.RegisterStreamingTable(salesTable(t), persistStreamCfg(300)); err != nil {
+		t.Fatal(err)
+	}
+	// nothing pending: publishes nothing, but commits — which flushes the
+	// directory entry of the first segment while the directory exists
+	if _, err := reg.Refresh("sales"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "tables", "sales", "wal")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Append("sales", streamRows(3740, 400)); err != nil {
+		t.Fatalf("the batch fits the open segment's handle and must be accepted: %v", err)
+	}
+	e, err := reg.Refresh("sales")
+	if err != nil || e.Generation != 2 {
+		t.Fatalf("the publication must serve despite the WAL fault: entry=%+v err=%v", e, err)
+	}
+	ps, _ := reg.PersistenceStatus()
+	var b strings.Builder
+	reg.Obs().Render(&b)
+	if got := metricValue(b.String(), serve.MetricWalErrors); ps.Errors != 1 || got != 1 {
+		t.Fatalf("persistence errors: healthz %d, %s %g; want the one lost refresh record on both",
+			ps.Errors, serve.MetricWalErrors, got)
 	}
 }
 

@@ -297,6 +297,70 @@ func TestSpillRoundTripAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestEntriesAgreeAcrossOrigins: however an entry comes to be — built
+// fresh, loaded from another process's spill, or published by a stream
+// over the same workload — it derives its coverage set and its size
+// charge the same way, and a loaded entry is the built one row for row.
+func TestEntriesAgreeAcrossOrigins(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	regA := serve.NewRegistry(serve.WithPersistence(persistOpts(dir)))
+	t.Cleanup(regA.Close)
+	if err := regA.RegisterTable(salesTable(t)); err != nil {
+		t.Fatal(err)
+	}
+	fresh, cached, err := regA.Build(ctx, buildReq(300))
+	if err != nil || cached {
+		t.Fatalf("fresh build: cached=%v err=%v", cached, err)
+	}
+
+	regB := serve.NewRegistry(serve.WithPersistence(persistOpts(dir)))
+	t.Cleanup(regB.Close)
+	if err := regB.RegisterTable(salesTable(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := regB.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	loaded, cached, err := regB.Build(ctx, buildReq(300))
+	if ps, _ := regB.PersistenceStatus(); err != nil || !cached || ps.SpillLoads != 1 || regB.Builds() != 0 {
+		t.Fatalf("second registry should load the spill, not build: cached=%v err=%v loads=%d builds=%d",
+			cached, err, ps.SpillLoads, regB.Builds())
+	}
+
+	regC := newStreamingRegistry(t, streamCfg(300)) // same workload as buildReq
+	streamed, ok := regC.Find("sales", []string{"region"})
+	if !ok || streamed.Generation != 1 {
+		t.Fatalf("no streaming entry: %+v", streamed)
+	}
+
+	const rowWidth = 4 + 8 + 4 + 4 + 8 // row id, weight, two strings, one float
+	for _, c := range []struct {
+		origin string
+		e      *serve.Entry
+	}{{"built", fresh}, {"spill-loaded", loaded}, {"streamed", streamed}} {
+		if got := c.e.GroupAttrs(); len(got) != 1 || got[0] != "region" {
+			t.Errorf("%s: GroupAttrs = %v, want [region]", c.origin, got)
+		}
+		if !c.e.Covers([]string{"region"}) || !c.e.Covers(nil) || c.e.Covers([]string{"region", "product"}) {
+			t.Errorf("%s: coverage is not exactly {region}", c.origin)
+		}
+		if want := int64(c.e.Sample.Len()) * rowWidth; c.e.Sample.Len() == 0 || c.e.SizeBytes() != want {
+			t.Errorf("%s: SizeBytes = %d for %d rows, want %d", c.origin, c.e.SizeBytes(), c.e.Sample.Len(), want)
+		}
+	}
+	if loaded.Sample.Len() != fresh.Sample.Len() || loaded.Budget != fresh.Budget {
+		t.Fatalf("loaded sample: %d rows at budget %d, built: %d at %d",
+			loaded.Sample.Len(), loaded.Budget, fresh.Sample.Len(), fresh.Budget)
+	}
+	for i := range fresh.Sample.Rows {
+		if loaded.Sample.Rows[i] != fresh.Sample.Rows[i] ||
+			math.Float64bits(loaded.Sample.Weights[i]) != math.Float64bits(fresh.Sample.Weights[i]) {
+			t.Fatalf("loaded sample diverges from the built one at row %d", i)
+		}
+	}
+}
+
 // TestEvictionUnlinksSpill evicts a sample past the byte budget and
 // asserts its spill file goes with it — an evicted key must rebuild on
 // the next boot, not resurrect from disk.

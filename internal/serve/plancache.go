@@ -43,14 +43,6 @@ type planEntry struct {
 	lastUsed atomic.Int64
 }
 
-// planCall is one in-flight singleflight compilation. Waiters block on
-// done and then read plan/err, which the compiler sets before closing.
-type planCall struct {
-	done chan struct{}
-	plan *plan.Plan
-	err  error
-}
-
 // planShardCap is the per-shard resident-plan cap derived from the
 // registry-wide bound.
 func (r *Registry) planShardCap() int {
@@ -97,16 +89,16 @@ func (r *Registry) planFor(tbl *table.Table, q *sqlparse.Query) (*plan.Plan, err
 		if c.err != nil {
 			return nil, c.err
 		}
-		if !c.plan.Binds(tbl) {
+		if !c.val.Binds(tbl) {
 			// the leader compiled for the other side of a table
 			// replacement; this query compiles its own, uncached
 			r.planCompiles.Add(1)
 			return plan.Compile(tbl, q)
 		}
 		r.metrics.planCacheHits.Inc()
-		return c.plan, nil
+		return c.val, nil
 	}
-	c := &planCall{done: make(chan struct{})}
+	c := &flight[*plan.Plan]{done: make(chan struct{})}
 	sh.planFlight[key] = c
 	sh.mu.Unlock()
 	r.metrics.planCacheMisses.Inc()
@@ -116,26 +108,22 @@ func (r *Registry) planFor(tbl *table.Table, q *sqlparse.Query) (*plan.Plan, err
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
-				c.plan, c.err = nil, fmt.Errorf("serve: compiling %q: panic: %v", key, p)
+				c.val, c.err = nil, fmt.Errorf("serve: compiling %q: panic: %v", key, p)
 			}
 		}()
-		c.plan, c.err = plan.Compile(tbl, q)
+		c.val, c.err = plan.Compile(tbl, q)
 	}()
 	r.planCompiles.Add(1)
-	if c.err != nil {
-		sh.mu.Lock()
-		delete(sh.planFlight, key)
-		sh.mu.Unlock()
-		close(c.done)
-		return nil, c.err
-	}
-	pe = &planEntry{plan: c.plan}
-	pe.lastUsed.Store(r.useClock.Add(1))
 
+	// a failed compile installs nothing, so the cap loop evicts nothing
 	var evicted int64
 	sh.mu.Lock()
 	delete(sh.planFlight, key)
-	sh.plans[key] = pe
+	if c.err == nil {
+		pe = &planEntry{plan: c.val}
+		pe.lastUsed.Store(r.useClock.Add(1))
+		sh.plans[key] = pe
+	}
 	for limit := r.planShardCap(); len(sh.plans) > limit; {
 		victim := ""
 		oldest := int64(math.MaxInt64)
@@ -155,11 +143,8 @@ func (r *Registry) planFor(tbl *table.Table, q *sqlparse.Query) (*plan.Plan, err
 	}
 	sh.mu.Unlock()
 	close(c.done)
-	if evicted > 0 {
-		r.planEvictions.Add(evicted)
-		r.metrics.planEvictions.Add(evicted)
-	}
-	return c.plan, nil
+	r.metrics.planEvictions.Add(evicted)
+	return c.val, c.err
 }
 
 // touchPlan stamps the plan's LRU clock.
@@ -173,7 +158,7 @@ func (r *Registry) touchPlan(pe *planEntry) {
 func (r *Registry) PlanCompiles() int64 { return r.planCompiles.Load() }
 
 // PlanEvictions returns how many cached plans have been evicted.
-func (r *Registry) PlanEvictions() int64 { return r.planEvictions.Load() }
+func (r *Registry) PlanEvictions() int64 { return r.metrics.planEvictions.Value() }
 
 // PlanCount returns the number of resident cached plans, the
 // repro_plans gauge.

@@ -108,6 +108,13 @@ func canonQueries(queries []core.QuerySpec) string {
 	return strings.Join(specs, "&")
 }
 
+// hash64 is the FNV-1a hash derived seeds and file names are taken from.
+func hash64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
+}
+
 // key canonicalizes the request into the registry cache key. The norm
 // options and seed are folded in because they change the allocation or
 // the drawn rows — two requests differing only in explicit seed must
@@ -251,14 +258,6 @@ func (e *Entry) GroupAttrs() []string {
 	return out
 }
 
-// buildCall is one in-flight singleflight build. Waiters block on done
-// and then read entry/err, which the builder sets before closing done.
-type buildCall struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
-}
-
 // Option configures a Registry at construction.
 type Option func(*Registry)
 
@@ -305,8 +304,6 @@ type Registry struct {
 	residentBytes  atomic.Int64
 	useClock       atomic.Int64
 	evictMu        sync.Mutex // one evictor at a time
-	evictions      atomic.Int64
-	evictedBytes   atomic.Int64
 
 	// regMu serializes table registrations (static and streaming).
 	// Registration must check the name against *every* shard and then
@@ -320,20 +317,19 @@ type Registry struct {
 	defMu          sync.Mutex
 	streamDefaults ingest.Policy
 
-	builds    atomic.Int64
 	refreshes atomic.Int64
 	closed    atomic.Bool
 
 	// maxPlans bounds the resident compiled-plan cache (plancache.go);
-	// planCompiles and planEvictions are its activity counters.
-	maxPlans      int
-	planCompiles  atomic.Int64
-	planEvictions atomic.Int64
+	// planCompiles counts the compilations it ran.
+	maxPlans     int
+	planCompiles atomic.Int64
 
 	// obs is the registry's metrics registry (exposed at GET /metrics);
-	// metrics holds the resolved handles the hot paths increment. Both
-	// are created unconditionally — observing an unscrapped registry
-	// costs one atomic add per event.
+	// metrics holds the resolved handles the hot paths increment — the
+	// only count of each event, read back by Builds, Evictions and the
+	// like. Both are created unconditionally — observing an unscrapped
+	// registry costs one atomic add per event.
 	obs     *obs.Registry
 	metrics *srvMetrics
 
@@ -498,11 +494,11 @@ func (r *Registry) Build(ctx context.Context, req BuildRequest) (entry *Entry, c
 		obs.TraceFromContext(ctx).Phase("build_wait")
 		<-c.done
 		if c.err == nil {
-			r.touch(c.entry)
+			r.touch(c.val)
 		}
-		return c.entry, true, c.err
+		return c.val, true, c.err
 	}
-	c := &buildCall{done: make(chan struct{})}
+	c := &flight[*Entry]{done: make(chan struct{})}
 	sh.inflight[key] = c
 	sh.mu.Unlock()
 	r.metrics.buildCacheMisses.Inc()
@@ -512,14 +508,14 @@ func (r *Registry) Build(ctx context.Context, req BuildRequest) (entry *Entry, c
 	// call's error rather than left to kill a waiter-visible state).
 	defer func() {
 		if p := recover(); p != nil {
-			c.entry, c.err = nil, fmt.Errorf("serve: building %s: panic: %v", key, p)
+			c.val, c.err = nil, fmt.Errorf("serve: building %s: panic: %v", key, p)
 			entry, err = nil, c.err
 		}
 		sh.mu.Lock()
 		delete(sh.inflight, key)
 		if c.err == nil {
-			sh.entries[key] = c.entry
-			r.residentBytes.Add(c.entry.size)
+			sh.entries[key] = c.val
+			r.residentBytes.Add(c.val.size)
 		}
 		sh.mu.Unlock()
 		close(c.done)
@@ -533,89 +529,83 @@ func (r *Registry) Build(ctx context.Context, req BuildRequest) (entry *Entry, c
 	// draws. A spilled sample from a previous process warms the key
 	// without rebuilding; fresh builds spill for the next restart.
 	if e, ok := r.loadSpilled(key, tbl); ok {
-		c.entry = e
-		return c.entry, true, nil
+		c.val = e
+		return c.val, true, nil
 	}
-	c.entry, c.err = r.buildEntry(ctx, key, tbl, req)
+	c.val, c.err = r.buildEntry(ctx, key, tbl, req)
 	if c.err == nil {
-		r.saveSpilled(c.entry, tbl)
+		r.saveSpilled(c.val, tbl)
 	}
-	return c.entry, false, c.err
+	return c.val, false, c.err
 }
 
-// buildEntry runs the actual sampler — for autoscaled requests, after
-// the budget search has chosen the smallest sufficient budget. Failed
-// builds are not cached, so a later corrected request retries.
+// buildEntry runs the sampler: one statistics pass (core.NewPlan), for
+// autoscaled requests the budget search over that same plan, then the
+// draw at the chosen budget. Failed builds are not cached, so a later
+// corrected request retries.
 func (r *Registry) buildEntry(ctx context.Context, key string, tbl *table.Table, req BuildRequest) (*Entry, error) {
 	seed := req.Seed
 	if seed == 0 {
-		h := fnv.New64a()
-		h.Write([]byte(key))
-		seed = int64(h.Sum64() >> 1)
+		seed = int64(hash64(key) >> 1)
 	}
-	r.builds.Add(1)
 	r.metrics.builds.Inc()
+	fail := func(err error) (*Entry, error) { return nil, fmt.Errorf("serve: building %s: %w", key, err) }
 	tr := obs.TraceFromContext(ctx)
-	start := time.Now()
-	var (
-		rs  *samplers.RowSample
-		e   = &Entry{Key: key, Table: tbl.Name, Budget: req.Budget, Queries: req.Queries, Opts: req.Opts, popRows: tbl.NumRows()}
-		err error
-	)
+	phase := "draw"
 	if req.TargetCV > 0 {
-		// one plan serves both the budget search and the draw: the
-		// statistics pass runs once, the search is pure evaluation
-		tr.Phase("autoscale")
-		plan, perr := core.NewPlan(tbl, req.Queries)
-		if perr != nil {
-			return nil, fmt.Errorf("serve: building %s: %w", key, perr)
-		}
-		res, aerr := plan.Autoscale(core.AutoscaleParams{
+		phase = "autoscale"
+	}
+	tr.Phase(phase)
+	e := &Entry{Key: key, Table: tbl.Name, Budget: req.Budget, Queries: req.Queries, Opts: req.Opts, BuiltAt: time.Now()}
+	plan, err := core.NewPlan(tbl, req.Queries)
+	if err != nil {
+		return fail(err)
+	}
+	if req.TargetCV > 0 {
+		res, err := plan.Autoscale(core.AutoscaleParams{
 			TargetCV:  req.TargetCV,
 			MaxBudget: req.MaxBudget,
 			Opts:      req.Opts,
 		})
-		if aerr != nil {
-			return nil, fmt.Errorf("serve: building %s: %w", key, aerr)
+		if err != nil {
+			return fail(err)
 		}
 		r.metrics.autoscaleProbes.Add(int64(res.Evaluations))
-		tr.Phase("draw")
-		ss, _, serr := plan.Sample(res.Budget, req.Opts, rand.New(rand.NewSource(seed)))
-		if serr != nil {
-			return nil, fmt.Errorf("serve: building %s: %w", key, serr)
-		}
-		rows, weights := core.RowWeights(ss)
-		rs = &samplers.RowSample{Rows: rows, Weights: weights}
 		e.Budget = res.Budget
 		e.TargetCV, e.AchievedCV, e.TargetMet = req.TargetCV, res.AchievedCV, res.Met
-	} else {
 		tr.Phase("draw")
-		s := &samplers.CVOPT{Opts: req.Opts}
-		rs, err = s.Build(tbl, req.Queries, req.Budget, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return nil, fmt.Errorf("serve: building %s: %w", key, err)
-		}
 	}
-	attrs := make(map[string]bool)
-	for _, q := range req.Queries {
-		for _, a := range q.GroupBy {
-			attrs[a] = true
-		}
+	ss, _, err := plan.Sample(e.Budget, req.Opts, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return fail(err)
 	}
-	e.Sample = rs
-	e.BuiltAt = start
-	e.BuildDuration = time.Since(start)
+	rows, weights := core.RowWeights(ss)
+	e.Sample = &samplers.RowSample{Rows: rows, Weights: weights}
+	e.BuildDuration = time.Since(e.BuiltAt)
 	r.metrics.buildDuration.Observe(e.BuildDuration)
-	e.attrs = attrs
-	e.size = entrySizeBytes(rs, tbl.Schema())
+	return r.finishEntry(e, tbl), nil
+}
+
+// finishEntry fills in what a built, a spill-loaded and a streamed
+// entry all derive the same way from the workload and the table the
+// sample's row ids index: coverage set, population, size, LRU stamp.
+func (r *Registry) finishEntry(e *Entry, tbl *table.Table) *Entry {
+	e.attrs = make(map[string]bool)
+	for _, q := range e.Queries {
+		for _, a := range q.GroupBy {
+			e.attrs[a] = true
+		}
+	}
+	e.popRows = tbl.NumRows()
+	e.size = entrySizeBytes(e.Sample, tbl.Schema())
 	e.lastUsed.Store(r.useClock.Add(1))
-	return e, nil
+	return e
 }
 
 // Builds returns how many sampler builds have actually executed —
 // deduplicated or cached requests do not count. Exposed for ops
 // (/healthz) and for the dedup tests.
-func (r *Registry) Builds() int64 { return r.builds.Load() }
+func (r *Registry) Builds() int64 { return r.metrics.builds.Value() }
 
 // Refreshes returns how many streaming publications (initial
 // registrations included) have been installed.
@@ -673,10 +663,7 @@ func (r *Registry) Entries() []*Entry {
 // eviction orders by — and its LRU clock is stamped. Only the table's
 // own shard is touched, so Finds on different tables never contend.
 func (r *Registry) Find(tableName string, groupBy []string) (*Entry, bool) {
-	sh := r.shardFor(tableName)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	better := func(a, b *Entry) bool { // is a a better answer source than b
+	return r.findCovering(tableName, groupBy, func(a, b *Entry) bool {
 		ea, eb := len(a.attrs)-len(groupBy), len(b.attrs)-len(groupBy)
 		if ea != eb {
 			return ea < eb
@@ -688,7 +675,30 @@ func (r *Registry) Find(tableName string, groupBy []string) (*Entry, bool) {
 			return a.Budget > b.Budget
 		}
 		return a.Key < b.Key
-	}
+	})
+}
+
+// findCheapest selects the *smallest* resident covering sample of the
+// named table — the load-shedding answer source: under pressure the
+// question is not "which sample answers best" (Find's ordering) but
+// "which resident sample answers cheapest", and execution cost scales
+// with sample rows. Ties break by key for determinism.
+func (r *Registry) findCheapest(tableName string, groupBy []string) (*Entry, bool) {
+	return r.findCovering(tableName, groupBy, func(a, b *Entry) bool {
+		if a.Sample.Len() != b.Sample.Len() {
+			return a.Sample.Len() < b.Sample.Len()
+		}
+		return a.Key < b.Key
+	})
+}
+
+// findCovering returns the best — per better(a, b): a is a better
+// answer source than b — of the table's entries whose stratification
+// covers groupBy, and records the hit or miss.
+func (r *Registry) findCovering(tableName string, groupBy []string, better func(a, b *Entry) bool) (*Entry, bool) {
+	sh := r.shardFor(tableName)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	var best *Entry
 	for _, e := range sh.entries {
 		if !strings.EqualFold(e.Table, tableName) || !e.Covers(groupBy) {
@@ -927,35 +937,6 @@ func validateTargetCVQuery(q *sqlparse.Query) error {
 		return fmt.Errorf("serve: a target CV needs at least one aggregated column (COUNT(*) alone carries no measure to bound)")
 	}
 	return nil
-}
-
-// findCheapest selects the *smallest* resident covering sample of the
-// named table — the load-shedding answer source: under pressure the
-// question is not "which sample answers best" (Find's ordering) but
-// "which resident sample answers cheapest", and execution cost scales
-// with sample rows. Ties break by key for determinism. Like Find, a
-// hit is recorded on the selected entry.
-func (r *Registry) findCheapest(tableName string, groupBy []string) (*Entry, bool) {
-	sh := r.shardFor(tableName)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var best *Entry
-	for _, e := range sh.entries {
-		if !strings.EqualFold(e.Table, tableName) || !e.Covers(groupBy) {
-			continue
-		}
-		if best == nil || e.Sample.Len() < best.Sample.Len() ||
-			(e.Sample.Len() == best.Sample.Len() && e.Key < best.Key) {
-			best = e
-		}
-	}
-	if best != nil {
-		r.touch(best)
-		r.metrics.findHits.Inc()
-	} else {
-		r.metrics.findMisses.Inc()
-	}
-	return best, best != nil
 }
 
 // SampleGeneration returns the latest published generation of a

@@ -294,6 +294,20 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// durMS renders a duration as every duration goes on the wire.
+func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// wireGuarantee renders an entry's autoscale guarantee for the sample
+// and query responses alike; all zero (so off the wire) for an
+// explicit-budget entry.
+func wireGuarantee(e *Entry) (targetCV float64, chosenBudget int, achievedCV *float64, targetMet *bool) {
+	if e.TargetCV <= 0 {
+		return 0, 0, nil, nil
+	}
+	met := e.TargetMet && !e.GuaranteeStale()
+	return e.TargetCV, e.Budget, apiv1.Float64(e.AchievedCV), &met
+}
+
 // toWireSample renders one registry entry as its contract type.
 func toWireSample(e *Entry, cached bool) apiv1.Sample {
 	out := apiv1.Sample{
@@ -303,36 +317,28 @@ func toWireSample(e *Entry, cached bool) apiv1.Sample {
 		Rows:       e.Sample.Len(),
 		GroupBy:    e.GroupAttrs(),
 		BuiltAt:    e.BuiltAt,
-		BuildMS:    float64(e.BuildDuration.Microseconds()) / 1000,
+		BuildMS:    durMS(e.BuildDuration),
 		Hits:       e.Hits.Load(),
 		SizeBytes:  e.SizeBytes(),
 		Generation: e.Generation,
 		Cached:     cached,
 	}
-	if e.TargetCV > 0 {
-		met := e.TargetMet && !e.GuaranteeStale()
-		out.TargetCV = e.TargetCV
-		out.ChosenBudget = e.Budget
-		out.AchievedCV = apiv1.Float64(e.AchievedCV)
-		out.TargetMet = &met
-	}
+	out.TargetCV, out.ChosenBudget, out.AchievedCV, out.TargetMet = wireGuarantee(e)
 	return out
 }
 
-// traceToWire renders one recorded trace as its contract type
-// (durations in milliseconds, like every duration on the wire).
+// traceToWire renders one recorded trace as its contract type.
 func traceToWire(td obs.TraceData) apiv1.RequestTrace {
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	out := apiv1.RequestTrace{
 		RequestID:  td.ID,
 		Route:      td.Route,
 		Status:     td.Status,
 		Start:      td.Start,
-		DurationMS: ms(td.Duration),
+		DurationMS: durMS(td.Duration),
 		Spans:      make([]apiv1.TraceSpan, len(td.Spans)),
 	}
 	for i, sp := range td.Spans {
-		out.Spans[i] = apiv1.TraceSpan{Name: sp.Name, StartMS: ms(sp.Start), DurationMS: ms(sp.Duration)}
+		out.Spans[i] = apiv1.TraceSpan{Name: sp.Name, StartMS: durMS(sp.Start), DurationMS: durMS(sp.Duration)}
 	}
 	return out
 }
@@ -371,18 +377,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	// the per-route digests come from the same histograms /metrics
 	// exposes: one latency recorder per request
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	h.Latency = make(map[string]apiv1.LatencySummary)
 	s.reg.metrics.httpDuration.Each(func(route []string, hist *obs.Histogram) {
-		sum := hist.Latency().Summary()
+		sum := hist.Summary()
 		if sum.Count == 0 {
 			return
 		}
 		h.Latency[route[0]] = apiv1.LatencySummary{
 			Count: sum.Count,
-			P50MS: ms(sum.P50),
-			P95MS: ms(sum.P95),
-			P99MS: ms(sum.P99),
+			P50MS: durMS(sum.P50),
+			P95MS: durMS(sum.P95),
+			P99MS: durMS(sum.P99),
 		}
 	})
 	if sts := s.reg.StreamStatuses(); len(sts) > 0 {
@@ -390,7 +395,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		for _, st := range sts {
 			h.StreamTables[st.Table] = apiv1.StreamHealth{
 				Generation:    st.Generation,
-				LastRefreshMS: float64(st.LastRefresh.Microseconds()) / 1000,
+				LastRefreshMS: durMS(st.LastRefresh),
 				Pending:       st.Pending,
 				RefreshErrors: st.RefreshErrors,
 				ResidentRows:  st.Rows,
@@ -430,7 +435,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			RecoveredTables:   ps.RecoveredTables,
 			ReplayedRecords:   ps.ReplayedRecords,
 			TornTails:         ps.TornTails,
-			ReplayMS:          float64(ps.ReplayDuration.Microseconds()) / 1000,
+			ReplayMS:          durMS(ps.ReplayDuration),
 			Errors:            ps.Errors,
 		}
 	}
@@ -530,12 +535,7 @@ func (s *Server) handleBuildSample(w http.ResponseWriter, r *http.Request) {
 			budget = 1
 		}
 	}
-	opts, err := parseNorm(req.Norm, req.P)
-	if err != nil {
-		writeError(w, apiv1.CodeInvalidRequest, "%v", err)
-		return
-	}
-	specs, err := parseSpecs(req.Queries)
+	opts, specs, err := parseWorkload(req.Norm, req.P, req.Queries)
 	if err != nil {
 		writeError(w, apiv1.CodeInvalidRequest, "%v", err)
 		return
@@ -580,38 +580,33 @@ func (s *Server) handleBuildSample(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, out)
 }
 
-// parseNorm maps the wire norm (l2 default, linf, lp + p) onto
-// core.Options.
-func parseNorm(norm string, p float64) (core.Options, error) {
-	var opts core.Options
+// parseWorkload converts the workload a build or stream request
+// carries: the wire norm (l2 default, linf, lp + p) onto core.Options,
+// and the query specs, validated.
+func parseWorkload(norm string, p float64, queries []apiv1.QuerySpec) (opts core.Options, specs []core.QuerySpec, err error) {
 	switch norm {
 	case "", apiv1.NormL2:
 	case apiv1.NormLInf:
 		opts.Norm = core.LInf
 	case apiv1.NormLp:
 		if p < 1 {
-			return opts, fmt.Errorf("norm lp requires p >= 1, got %g", p)
+			return opts, nil, fmt.Errorf("norm lp requires p >= 1, got %g", p)
 		}
 		opts.Norm, opts.P = core.Lp, p
 	default:
-		return opts, fmt.Errorf("unknown norm %q (want l2, linf or lp)", norm)
+		return opts, nil, fmt.Errorf("unknown norm %q (want l2, linf or lp)", norm)
 	}
-	return opts, nil
-}
-
-// parseSpecs converts and validates wire query specs.
-func parseSpecs(queries []apiv1.QuerySpec) ([]core.QuerySpec, error) {
-	specs := make([]core.QuerySpec, len(queries))
+	specs = make([]core.QuerySpec, len(queries))
 	for i, q := range queries {
 		specs[i] = core.QuerySpec{GroupBy: q.GroupBy}
 		for _, a := range q.Aggs {
 			specs[i].Aggs = append(specs[i].Aggs, core.AggColumn{Column: a.Column, Weight: a.Weight})
 		}
 		if err := specs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("query %d: %v", i, err)
+			return opts, nil, fmt.Errorf("query %d: %v", i, err)
 		}
 	}
-	return specs, nil
+	return opts, specs, nil
 }
 
 func (s *Server) streamStateToWire(name string) apiv1.StreamState {
@@ -640,12 +635,7 @@ func (s *Server) handleStreamTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiv1.CodeTableNotFound, "unknown table %q", name)
 		return
 	}
-	opts, err := parseNorm(req.Norm, req.P)
-	if err != nil {
-		writeError(w, apiv1.CodeInvalidRequest, "%v", err)
-		return
-	}
-	specs, err := parseSpecs(req.Queries)
+	opts, specs, err := parseWorkload(req.Norm, req.P, req.Queries)
 	if err != nil {
 		writeError(w, apiv1.CodeInvalidRequest, "%v", err)
 		return
@@ -895,13 +885,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.SampleKey = ans.Entry.Key
 		resp.SampleRows = ans.Entry.Sample.Len()
 		resp.Generation = ans.Entry.Generation
-		if ans.Entry.TargetCV > 0 {
-			met := ans.Entry.TargetMet && !ans.Entry.GuaranteeStale()
-			resp.TargetCV = ans.Entry.TargetCV
-			resp.ChosenBudget = ans.Entry.Budget
-			resp.AchievedCV = apiv1.Float64(ans.Entry.AchievedCV)
-			resp.TargetMet = &met
-		}
+		resp.TargetCV, resp.ChosenBudget, resp.AchievedCV, resp.TargetMet = wireGuarantee(ans.Entry)
 		if ans.Degraded {
 			// load-shed answer: report the *caller's* target next to the
 			// answering sample's actual guarantee (achieved_cv is present

@@ -17,15 +17,25 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"repro/internal/plan"
 	"repro/internal/table"
 )
+
+// flight is one in-flight singleflight call — a sample build or a plan
+// compilation. Waiters block on done and then read val/err, which the
+// leader sets before closing done.
+type flight[T any] struct {
+	done chan struct{}
+	val  T
+	err  error
+}
 
 // shard is one lock domain of the registry.
 type shard struct {
 	mu       sync.RWMutex
 	tables   map[string]*table.Table
 	entries  map[string]*Entry
-	inflight map[string]*buildCall
+	inflight map[string]*flight[*Entry]
 	// streams holds the live ingest state of streaming tables, keyed by
 	// canonical table name (nil value = registration in progress, which
 	// reserves the name). See stream.go.
@@ -34,17 +44,17 @@ type shard struct {
 	// planFlight dedups concurrent compilations of the same key,
 	// mirroring entries/inflight for sample builds. See plancache.go.
 	plans      map[string]*planEntry
-	planFlight map[string]*planCall
+	planFlight map[string]*flight[*plan.Plan]
 }
 
 func newShard() *shard {
 	return &shard{
 		tables:     make(map[string]*table.Table),
 		entries:    make(map[string]*Entry),
-		inflight:   make(map[string]*buildCall),
+		inflight:   make(map[string]*flight[*Entry]),
 		streams:    make(map[string]*streamState),
 		plans:      make(map[string]*planEntry),
-		planFlight: make(map[string]*planCall),
+		planFlight: make(map[string]*flight[*plan.Plan]),
 	}
 }
 
@@ -91,6 +101,14 @@ func (s *shard) checkNameFreeLocked(name string) error {
 		}
 	}
 	return nil
+}
+
+// unreserve drops a streaming registration's name reservation (or a
+// half-installed stream) after the registration failed.
+func (s *shard) unreserve(name string) {
+	s.mu.Lock()
+	delete(s.streams, name)
+	s.mu.Unlock()
 }
 
 // tableLocked resolves a table name case-insensitively within the

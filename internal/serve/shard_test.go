@@ -268,10 +268,10 @@ func TestSingleflightWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, leader := range []*planCall{
+	for _, leader := range []*flight[*plan.Plan]{
 		{done: done, err: boom},
-		{done: done, plan: mine},
-		{done: done, plan: foreign},
+		{done: done, val: mine},
+		{done: done, val: foreign},
 	} {
 		sh.mu.Lock()
 		sh.planFlight[q.String()] = leader
@@ -282,7 +282,7 @@ func TestSingleflightWaiters(t *testing.T) {
 			if !errors.Is(err, boom) {
 				t.Fatalf("waiter on a failed compile: err = %v, want the leader's", err)
 			}
-		case leader.plan == mine:
+		case leader.val == mine:
 			if err != nil || p != mine {
 				t.Fatalf("waiter got (%p, %v), want the leader's plan", p, err)
 			}
@@ -298,16 +298,16 @@ func TestSingleflightWaiters(t *testing.T) {
 
 	req := shardBuild("t", 30, 1)
 	entry := &Entry{Key: req.key(), Table: "t"}
-	for _, leader := range []*buildCall{
+	for _, leader := range []*flight[*Entry]{
 		{done: done, err: boom},
-		{done: done, entry: entry},
+		{done: done, val: entry},
 	} {
 		sh.mu.Lock()
 		sh.inflight[req.key()] = leader
 		sh.mu.Unlock()
 		e, cached, err := reg.Build(context.Background(), req)
-		if e != leader.entry || !cached || !errors.Is(err, leader.err) {
-			t.Fatalf("build waiter got (%p, %v, %v), want the leader's (%p, true, %v)", e, cached, err, leader.entry, leader.err)
+		if e != leader.val || !cached || !errors.Is(err, leader.err) {
+			t.Fatalf("build waiter got (%p, %v, %v), want the leader's (%p, true, %v)", e, cached, err, leader.val, leader.err)
 		}
 	}
 }

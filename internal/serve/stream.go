@@ -14,6 +14,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -46,6 +47,9 @@ type streamState struct {
 	stream *ingest.Stream
 	key    string        // the entry key publications swap
 	cfg    ingest.Config // resolved config, persisted with checkpoints
+	// store is the table's WAL/checkpoint handle (persist.go), set
+	// before the log attaches to the stream; nil without persistence.
+	store *tableStore
 }
 
 // streamKey is the registry key every generation of a streaming table's
@@ -89,7 +93,6 @@ func (r *Registry) RegisterStreamingTable(seed *table.Table, cfg ingest.Config) 
 	sh.streams[seed.Name] = nil
 	sh.mu.Unlock()
 	r.regMu.Unlock()
-	cfg.Policy = r.applyPolicyDefaults(cfg.Policy)
 	return r.startStream(sh, seed.Name, seed, cfg)
 }
 
@@ -124,7 +127,6 @@ func (r *Registry) StreamTable(name string, cfg ingest.Config) error {
 	sh.streams[canonical] = nil
 	sh.mu.Unlock()
 	r.regMu.Unlock()
-	cfg.Policy = r.applyPolicyDefaults(cfg.Policy)
 	return r.startStream(sh, canonical, seed, cfg)
 }
 
@@ -150,24 +152,22 @@ func (r *Registry) applyPolicyDefaults(p ingest.Policy) ingest.Policy {
 // included — is shut down before the error returns, so Close never
 // leaks a late-starting goroutine.
 func (r *Registry) startStream(sh *shard, name string, seed *table.Table, cfg ingest.Config) error {
-	key := streamKey(name, cfg.Queries)
-	st, err := ingest.New(seed, cfg, func(pub *ingest.Publication) {
-		r.installPublication(sh, name, key, cfg, pub)
+	cfg.Policy = r.applyPolicyDefaults(cfg.Policy)
+	st := &streamState{key: streamKey(name, cfg.Queries), cfg: cfg}
+	var err error
+	st.stream, err = ingest.New(seed, cfg, func(pub *ingest.Publication) {
+		r.installPublication(sh, name, st, pub)
 	})
 	if err != nil {
-		sh.mu.Lock()
-		delete(sh.streams, name)
-		sh.mu.Unlock()
+		sh.unreserve(name)
 		return err
 	}
 	// make the table durable before it becomes reachable: checkpoint-0
 	// plus an attached WAL, so no append can slip in unlogged
 	if r.persist != nil {
-		if err := r.attachPersistence(st, name, cfg); err != nil {
-			sh.mu.Lock()
-			delete(sh.streams, name)
-			sh.mu.Unlock()
-			st.Close()
+		if err := r.attachPersistence(st); err != nil {
+			sh.unreserve(name)
+			st.stream.Close()
 			return err
 		}
 	}
@@ -175,13 +175,16 @@ func (r *Registry) startStream(sh *shard, name string, seed *table.Table, cfg in
 	if r.closed.Load() {
 		delete(sh.streams, name)
 		sh.mu.Unlock()
-		st.Close()
-		if r.persist != nil {
-			r.detachPersistence(name)
+		st.stream.Close()
+		if st.store != nil {
+			// roll the attach back, so the next boot does not resurrect
+			// a table that was never registered
+			st.store.log.Close()
+			os.RemoveAll(r.persist.tableDir(name))
 		}
 		return fmt.Errorf("serve: %w", ErrClosed)
 	}
-	sh.streams[name] = &streamState{stream: st, key: key, cfg: cfg}
+	sh.streams[name] = st
 	sh.mu.Unlock()
 	return nil
 }
@@ -189,8 +192,14 @@ func (r *Registry) startStream(sh *shard, name string, seed *table.Table, cfg in
 // installPublication is the stream's publish callback: one shard write
 // lock swaps the registered table to the new snapshot and the sample
 // entry to the new generation together. The ingest side calls it under
-// the stream's own mutex, so generations arrive strictly in order.
-func (r *Registry) installPublication(sh *shard, name, key string, cfg ingest.Config, pub *ingest.Publication) {
+// the stream's own mutex, so generations arrive strictly in order (the
+// first inside ingest.New, before st.stream is set — hence name).
+func (r *Registry) installPublication(sh *shard, name string, st *streamState, pub *ingest.Publication) {
+	if st.store != nil && pub.WalSeq == 0 {
+		// the refresh record did not reach the attached WAL: the
+		// publication serves, but a replay will not re-finalize here
+		r.metrics.walErrors.Inc()
+	}
 	sh.mu.Lock()
 	sh.tables[name] = pub.Snapshot
 	// static autoscaled entries of this table keep answering from the
@@ -199,44 +208,34 @@ func (r *Registry) installPublication(sh *shard, name, key string, cfg ingest.Co
 	// once appended data outgrows that population, their target_met
 	// flips to an honest false
 	for k, e := range sh.entries {
-		if k != key && e.snapshot == nil && e.TargetCV > 0 &&
+		if k != st.key && e.snapshot == nil && e.TargetCV > 0 &&
 			strings.EqualFold(e.Table, name) && pub.Rows > e.popRows {
 			e.cvStale.Store(true)
 		}
 	}
 	if pub.Sample != nil {
-		attrs := make(map[string]bool)
-		for _, q := range cfg.Queries {
-			for _, a := range q.GroupBy {
-				attrs[a] = true
-			}
-		}
-		e := &Entry{
-			Key:           key,
+		e := r.finishEntry(&Entry{
+			Key:           st.key,
 			Table:         name,
 			Budget:        pub.Budget,
 			TargetCV:      pub.TargetCV,
 			AchievedCV:    pub.AchievedCV,
 			TargetMet:     pub.TargetMet,
-			Queries:       cfg.Queries,
-			Opts:          cfg.Opts,
+			Queries:       st.cfg.Queries,
+			Opts:          st.cfg.Opts,
 			Sample:        pub.Sample,
 			BuiltAt:       pub.BuiltAt,
 			BuildDuration: pub.BuildDuration,
 			Generation:    pub.Generation,
-			attrs:         attrs,
 			snapshot:      pub.Snapshot,
-			popRows:       pub.Rows,
-			size:          entrySizeBytes(pub.Sample, pub.Snapshot.Schema()),
-		}
-		e.lastUsed.Store(r.useClock.Add(1))
+		}, pub.Snapshot)
 		// the hit counter is per key, not per generation: eviction
 		// wants to know how hot the streaming sample is overall
-		if old, ok := sh.entries[key]; ok {
+		if old, ok := sh.entries[st.key]; ok {
 			e.Hits.Store(old.Hits.Load())
 			r.residentBytes.Add(-old.size)
 		}
-		sh.entries[key] = e
+		sh.entries[st.key] = e
 		r.residentBytes.Add(e.size)
 	}
 	sh.mu.Unlock()
@@ -284,7 +283,7 @@ func (r *Registry) Append(name string, rows [][]any) (ingest.AppendStatus, error
 		// durability point: the batch's WAL record is fsynced (per
 		// policy) before the append is acknowledged; runs outside every
 		// lock
-		if cerr := r.persistCommit(st.stream.Name()); cerr != nil {
+		if cerr := r.persistCommit(st); cerr != nil {
 			return status, cerr
 		}
 	}
@@ -302,7 +301,7 @@ func (r *Registry) Refresh(name string) (*Entry, error) {
 	if _, err := st.stream.Refresh(); err != nil {
 		return nil, fmt.Errorf("serve: refreshing %q: %w", name, err)
 	}
-	if err := r.persistCommit(st.stream.Name()); err != nil {
+	if err := r.persistCommit(st); err != nil {
 		return nil, err
 	}
 	sh := r.shardFor(name)
@@ -333,45 +332,44 @@ type StreamStatus struct {
 	LastRefresh time.Duration
 }
 
-// StreamCount returns the number of streaming tables without touching
-// any per-stream lock (the /healthz hot path).
-func (r *Registry) StreamCount() int {
-	n := 0
+// streamStates returns the state of every live streaming table
+// (registrations still in progress are skipped).
+func (r *Registry) streamStates() []*streamState {
+	var out []*streamState
 	for _, sh := range r.shards {
 		sh.mu.RLock()
 		for _, st := range sh.streams {
 			if st != nil {
-				n++
+				out = append(out, st)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return n
+	return out
 }
+
+func (st *streamState) status() StreamStatus {
+	return StreamStatus{
+		Table:         st.stream.Name(),
+		Generation:    st.stream.Generation(),
+		Pending:       st.stream.Pending(),
+		Rows:          st.stream.Rows(),
+		RefreshErrors: st.stream.RefreshErrors(),
+		LastRefresh:   st.stream.LastRefreshDuration(),
+	}
+}
+
+// StreamCount returns the number of streaming tables without touching
+// any per-stream lock (the /healthz hot path).
+func (r *Registry) StreamCount() int { return len(r.streamStates()) }
 
 // StreamStatuses returns the ops view of every streaming table, sorted
 // by name.
 func (r *Registry) StreamStatuses() []StreamStatus {
-	states := make(map[string]*streamState)
-	for _, sh := range r.shards {
-		sh.mu.RLock()
-		for n, st := range sh.streams {
-			if st != nil {
-				states[n] = st
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]StreamStatus, 0, len(states))
-	for n, st := range states {
-		out = append(out, StreamStatus{
-			Table:         n,
-			Generation:    st.stream.Generation(),
-			Pending:       st.stream.Pending(),
-			Rows:          st.stream.Rows(),
-			RefreshErrors: st.stream.RefreshErrors(),
-			LastRefresh:   st.stream.LastRefreshDuration(),
-		})
+	states := r.streamStates()
+	out := make([]StreamStatus, len(states))
+	for i, st := range states {
+		out[i] = st.status()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Table < out[j].Table })
 	return out
@@ -383,14 +381,7 @@ func (r *Registry) StreamStatus(name string) (StreamStatus, bool) {
 	if err != nil {
 		return StreamStatus{}, false
 	}
-	return StreamStatus{
-		Table:         st.stream.Name(),
-		Generation:    st.stream.Generation(),
-		Pending:       st.stream.Pending(),
-		Rows:          st.stream.Rows(),
-		RefreshErrors: st.stream.RefreshErrors(),
-		LastRefresh:   st.stream.LastRefreshDuration(),
-	}, true
+	return st.status(), true
 }
 
 // Close stops every streaming table's ingest loop and waits for each to
@@ -407,16 +398,7 @@ func (r *Registry) StreamStatus(name string) (StreamStatus, bool) {
 // once.
 func (r *Registry) Close() {
 	r.closed.Store(true)
-	var states []*streamState
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for _, st := range sh.streams {
-			if st != nil {
-				states = append(states, st)
-			}
-		}
-		sh.mu.Unlock()
-	}
+	states := r.streamStates()
 	for _, st := range states {
 		st.stream.Close()
 		// flush: rows appended (and acknowledged) since the last refresh
@@ -430,5 +412,5 @@ func (r *Registry) Close() {
 	}
 	// the final publications above are checkpointed and the WAL synced
 	// before file handles close
-	r.closePersist()
+	r.closePersist(states)
 }
