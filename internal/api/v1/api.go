@@ -231,8 +231,9 @@ type StreamRequest struct {
 	// (0, 1]) spends a fraction of the current rows instead, so the
 	// sample grows with the stream. TargetCV re-runs the autoscale
 	// search at every refresh instead, so the sample keeps the CV goal
-	// as the table grows; MaxBudget caps each search (0 = current
-	// rows). Exactly one of budget, rate and target_cv must be set.
+	// as the table grows; MaxBudget caps each search (0 = every row the
+	// reservoirs hold). Exactly one of budget, rate and target_cv must
+	// be set.
 	Budget    int     `json:"budget,omitempty"`
 	Rate      float64 `json:"rate,omitempty"`
 	TargetCV  float64 `json:"target_cv,omitempty"`

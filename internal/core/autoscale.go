@@ -30,8 +30,9 @@ type AutoscaleParams struct {
 	TargetCV float64
 	// MaxBudget is the hard cap. When even MaxBudget cannot meet the
 	// target, the search returns best-effort (Met=false) at the cap. 0
-	// defaults to the table's row count — always sufficient, since a
-	// full sample has zero sampling error.
+	// defaults to every drawable row: the table's row count for a Plan —
+	// always sufficient, since a full sample has zero sampling error —
+	// and the reservoirs' holdings for a StreamSampler, which may not be.
 	MaxBudget int
 	// MinBudget is the smallest candidate considered (default 1).
 	MinBudget int
@@ -70,9 +71,9 @@ type AutoscaleResult struct {
 // its accuracy irrelevant, so it must not hold the budget hostage.
 // Weights otherwise gate inclusion only; they do not scale the CV,
 // because the target is a per-group guarantee, not a norm.
-func (p *Plan) WorstCV(alloc []int) float64 {
+func (st *strata) WorstCV(alloc []int) float64 {
 	worst := 0.0
-	for _, e := range p.PredictedCVs(alloc) {
+	for _, e := range st.PredictedCVs(alloc) {
 		if e.Weight <= 0 {
 			continue
 		}
@@ -88,21 +89,25 @@ func (p *Plan) WorstCV(alloc []int) float64 {
 // the search shape and its guarantees. The returned budget feeds
 // Plan.Sample (or any Build path) unchanged; AchievedCV is the a-priori
 // CV bound of that sample.
-func (p *Plan) Autoscale(params AutoscaleParams) (*AutoscaleResult, error) {
+func (st *strata) Autoscale(params AutoscaleParams) (*AutoscaleResult, error) {
 	target := params.TargetCV
 	if !(target > 0) || math.IsInf(target, 1) {
 		return nil, fmt.Errorf("core: target CV must be positive and finite, got %v", target)
 	}
-	totalRows := p.Table.NumRows()
-	if totalRows == 0 {
+	st.view()
+	drawable := 0
+	for _, c := range st.caps {
+		drawable += int(c)
+	}
+	if drawable == 0 {
 		return nil, fmt.Errorf("core: cannot autoscale over an empty table")
 	}
 	maxB := params.MaxBudget
-	if maxB <= 0 || maxB > totalRows {
-		// budgets beyond the population allocate identically to the full
-		// table (Allocate clamps at the caps), so a larger cap only
-		// wastes probes
-		maxB = totalRows
+	if maxB <= 0 || maxB > drawable {
+		// budgets beyond what the strata can supply allocate identically
+		// to taking every drawable row (Allocate clamps at the caps), so
+		// a larger cap only wastes probes
+		maxB = drawable
 	}
 	minB := params.MinBudget
 	if minB < 1 {
@@ -122,11 +127,11 @@ func (p *Plan) Autoscale(params AutoscaleParams) (*AutoscaleResult, error) {
 		if cv, ok := memo[m]; ok {
 			return cv, nil
 		}
-		alloc, err := p.Allocate(m, params.Opts)
+		alloc, err := st.Allocate(m, params.Opts)
 		if err != nil {
 			return 0, fmt.Errorf("core: autoscale probing budget %d: %w", m, err)
 		}
-		cv := p.WorstCV(alloc)
+		cv := st.WorstCV(alloc)
 		memo[m] = cv
 		res.Evaluations++
 		return cv, nil

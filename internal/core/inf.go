@@ -22,13 +22,13 @@ import (
 // aggregation columns the per-group CV is the worst CV across that
 // group's aggregates, a conservative and natural extension. Multiple
 // group-by queries are rejected.
-func (p *Plan) allocateInf(m int, opts Options) ([]int, error) {
-	if len(p.Queries) != 1 {
-		return nil, fmt.Errorf("core: CVOPT-INF supports a single group-by query (got %d); the paper defines the ℓ∞ algorithm for SASG", len(p.Queries))
+func (st *strata) allocateInf(m int, opts Options) ([]int, error) {
+	if len(st.Queries) != 1 {
+		return nil, fmt.Errorf("core: CVOPT-INF supports a single group-by query (got %d); the paper defines the ℓ∞ algorithm for SASG", len(st.Queries))
 	}
-	q := p.Queries[0]
-	nc := p.StratumSizes()
-	r := p.NumStrata()
+	q := st.Queries[0]
+	nc := st.StratumSizes()
+	r := st.NumStrata()
 
 	// d_i = (σ_i/µ_i)²/n_i per stratum; several aggregates take the max.
 	// A stratification for a single query is exactly its grouping, so the
@@ -38,14 +38,13 @@ func (p *Plan) allocateInf(m int, opts Options) ([]int, error) {
 	for c := 0; c < r; c++ {
 		totalN += nc[c]
 		for _, ac := range q.Aggs {
-			pos := p.aggColPos[ac.Column]
-			col := p.Collector.Group(c).Cols[pos]
+			col := st.groups[c].Cols[st.aggColPos[ac.Column]]
 			if col.Mean == 0 {
 				if col.Variance() == 0 {
 					continue // constant zero group: no sampling need
 				}
 				return nil, fmt.Errorf("core: group %q has zero mean on column %q; CV undefined",
-					p.Index.Key(c).String(), ac.Column)
+					st.Key(c).String(), ac.Column)
 			}
 			cv := col.StdDev() / col.Mean
 			if cv < 0 {
@@ -69,7 +68,7 @@ func (p *Plan) allocateInf(m int, opts Options) ([]int, error) {
 		for i := range real {
 			real[i] = even
 		}
-		return RoundAllocation(real, nc, m, opts.minPerStratum())
+		return RoundAllocation(real, st.caps, m, opts.minPerStratum())
 	}
 
 	// x_i(q) as in the paper; S(q) = Σ x_i(q) is increasing in q.
@@ -107,5 +106,5 @@ func (p *Plan) allocateInf(m int, opts Options) ([]int, error) {
 	for i := range x {
 		x[i] = x[i] / sum * float64(m)
 	}
-	return RoundAllocation(x, nc, m, opts.minPerStratum())
+	return RoundAllocation(x, st.caps, m, opts.minPerStratum())
 }

@@ -19,12 +19,8 @@ const parallelThreshold = 100000
 // per-stratum summaries with the exact parallel-variance rule — the
 // property internal/stats was designed around, so the result equals the
 // sequential scan's bit-for-bit up to float associativity.
-func collectStats(tbl *table.Table, gi *table.GroupIndex, aggCols []string) (*stats.Collector, error) {
-	cols := make([]*table.Column, len(aggCols))
-	for i, name := range aggCols {
-		cols[i] = tbl.Column(name)
-	}
-	n := tbl.NumRows()
+func collectStats(gi *table.GroupIndex, cols []*table.Column) (*stats.Collector, error) {
+	n := len(gi.RowID)
 	workers := runtime.GOMAXPROCS(0)
 	if n < parallelThreshold || workers < 2 {
 		return scanRange(gi, cols, 0, n)

@@ -25,7 +25,7 @@ func TestParallelStatsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := collectStats(tbl, gi, []string{"value", "latitude"})
+	par, err := collectStats(gi, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func BenchmarkStatsPassParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := collectStats(tbl, gi, []string{"value"}); err != nil {
+		if _, err := collectStats(gi, []*table.Column{tbl.Column("value")}); err != nil {
 			b.Fatal(err)
 		}
 	}

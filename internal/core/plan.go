@@ -12,25 +12,17 @@ import (
 )
 
 // Plan is the precomputed state of CVOPT's offline phase for a table and
-// a set of queries: the finest stratification C = ∪ A_i, the per-stratum
-// statistics of every aggregation column (pass 1), and for every query
-// the projection Π(·, A_i) with the coarse-group statistics it induces.
+// a set of queries: the strata model (the finest stratification
+// C = ∪ A_i, the per-stratum statistics of every aggregation column, and
+// for every query the projection Π(·, A_i) with the coarse-group
+// statistics it induces) fed from a stored table, plus the row index
+// pass 2 draws from. Every stratum can be drawn in full, so allocations
+// are capped at n_c.
 type Plan struct {
-	Table   *table.Table
-	Queries []QuerySpec
-
-	StratAttrs []string          // C, in first-appearance order
-	Index      *table.GroupIndex // finest stratification index
-	Collector  *stats.Collector  // per-stratum stats, one column per aggCols entry
-
-	aggCols   []string       // union of aggregation columns across queries
-	aggColPos map[string]int // name -> position in Collector arity
-
-	// Per query q: fine stratum id -> coarse group id, plus coarse keys
-	// and merged coarse statistics.
-	proj       [][]int
-	coarseKeys [][]table.GroupKey
-	coarse     [][]*stats.GroupStats
+	strata
+	Table     *table.Table
+	Index     *table.GroupIndex // finest stratification index
+	Collector *stats.Collector  // per-stratum stats, one column per AggColumns entry
 }
 
 // NewPlan validates the queries, builds the finest stratification over
@@ -40,164 +32,35 @@ func NewPlan(tbl *table.Table, queries []QuerySpec) (*Plan, error) {
 	if tbl == nil {
 		return nil, errors.New("core: nil table")
 	}
-	if len(queries) == 0 {
-		return nil, errors.New("core: no queries")
-	}
-	p := &Plan{Table: tbl, Queries: queries, aggColPos: map[string]int{}}
-	seenAttr := map[string]bool{}
-	for qi, q := range queries {
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("core: query %d: %w", qi, err)
-		}
-		for _, a := range q.GroupBy {
-			if !seenAttr[a] {
-				seenAttr[a] = true
-				p.StratAttrs = append(p.StratAttrs, a)
-			}
-		}
-		for _, ac := range q.Aggs {
-			if _, ok := p.aggColPos[ac.Column]; !ok {
-				col := tbl.Column(ac.Column)
-				if col == nil {
-					return nil, fmt.Errorf("core: query %d aggregates unknown column %q", qi, ac.Column)
-				}
-				if col.Spec.Kind == table.String {
-					return nil, fmt.Errorf("core: cannot aggregate string column %q", ac.Column)
-				}
-				p.aggColPos[ac.Column] = len(p.aggCols)
-				p.aggCols = append(p.aggCols, ac.Column)
-			}
-		}
-	}
-
-	gi, err := table.BuildGroupIndex(tbl, p.StratAttrs)
+	st, err := analyze(queries)
 	if err != nil {
 		return nil, err
 	}
-	p.Index = gi
+	aggs, err := st.aggColumns(tbl)
+	if err != nil {
+		return nil, err
+	}
+	gi, err := table.BuildGroupIndex(tbl, st.StratAttrs)
+	if err != nil {
+		return nil, err
+	}
 
 	// Pass 1: per-stratum statistics for every aggregation column. Large
 	// tables are scanned by parallel workers over row ranges whose
 	// per-stratum summaries merge exactly (Welford/Chan), so the result
 	// is identical to a sequential scan.
-	collector, err := collectStats(tbl, gi, p.aggCols)
+	collector, err := collectStats(gi, aggs)
 	if err != nil {
 		return nil, err
 	}
-	p.Collector = collector
-
-	// Projections and coarse statistics per query.
-	for _, q := range queries {
-		f2c, keys, err := gi.Project(q.GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		coarse := make([]*stats.GroupStats, len(keys))
-		for i := range coarse {
-			coarse[i] = stats.NewGroupStats(len(p.aggCols))
-		}
-		for fine, c := range f2c {
-			if err := coarse[c].Merge(p.Collector.Group(fine)); err != nil {
-				return nil, err
-			}
-		}
-		p.proj = append(p.proj, f2c)
-		p.coarseKeys = append(p.coarseKeys, keys)
-		p.coarse = append(p.coarse, coarse)
+	st.grouper = gi.Grouper()
+	st.groups = make([]*stats.GroupStats, gi.NumStrata())
+	for c := range st.groups {
+		st.groups[c] = collector.Group(c)
 	}
+	p := &Plan{strata: st, Table: tbl, Index: gi, Collector: collector}
+	p.view() // derive the projections now: a Plan is read-only from here on
 	return p, nil
-}
-
-// NumStrata returns |C|, the number of finest strata.
-func (p *Plan) NumStrata() int { return p.Index.NumStrata() }
-
-// AggColumns returns the union of aggregation columns, in plan order.
-func (p *Plan) AggColumns() []string { return append([]string(nil), p.aggCols...) }
-
-// StratumSizes returns n_c per stratum.
-func (p *Plan) StratumSizes() []int64 { return p.Index.StratumSizes() }
-
-// CoarseGroups returns, for query q, the coarse group keys and their
-// merged statistics (n_a, µ_a, σ_a per aggregation column).
-func (p *Plan) CoarseGroups(q int) ([]table.GroupKey, []*stats.GroupStats) {
-	return p.coarseKeys[q], p.coarse[q]
-}
-
-// Betas computes the per-stratum allocation scores of the general MAMG
-// formula (Section 4.2):
-//
-//	β_c = n_c² Σ_i [ 1/n²_{Π(c,A_i)} Σ_{ℓ∈L_i} w_{Π(c,A_i),ℓ} σ²_{c,ℓ} / µ²_{Π(c,A_i),ℓ} ]
-//
-// which specializes to α_i = Σ_j w_ij σ_ij²/µ_ij² for a single group-by
-// (Theorems 1–2) and to Lemma 2/3's β for one or two queries. Strata
-// whose coarse groups have zero mean contribute +Inf CV; the paper
-// assumes non-zero means, so such terms are rejected with an error.
-func (p *Plan) Betas() ([]float64, error) {
-	nStrata := p.NumStrata()
-	betas := make([]float64, nStrata)
-	nc := p.StratumSizes()
-	for qi, q := range p.Queries {
-		f2c := p.proj[qi]
-		keys := p.coarseKeys[qi]
-		coarse := p.coarse[qi]
-		for c := 0; c < nStrata; c++ {
-			a := f2c[c]
-			na := float64(coarse[a].N())
-			if na == 0 {
-				continue
-			}
-			var inner float64
-			for _, ac := range q.Aggs {
-				pos := p.aggColPos[ac.Column]
-				sigma2 := p.Collector.Group(c).Cols[pos].Variance()
-				if sigma2 == 0 {
-					continue // constant stratum: no sampling need (paper §5)
-				}
-				mu := coarse[a].Cols[pos].Mean
-				if mu == 0 {
-					return nil, fmt.Errorf("core: group %q has zero mean on column %q; CV undefined (paper §1 assumes non-zero means)",
-						keys[a].String(), ac.Column)
-				}
-				w := ac.weightFor(keys[a].String())
-				inner += w * sigma2 / (mu * mu)
-			}
-			betas[c] += float64(nc[c]) * float64(nc[c]) * inner / (na * na)
-		}
-	}
-	return betas, nil
-}
-
-// Allocate computes the integer sample-size assignment for budget M
-// under the chosen norm. The returned slice has one entry per stratum of
-// the finest stratification.
-func (p *Plan) Allocate(m int, opts Options) ([]int, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("core: non-positive budget %d", m)
-	}
-	caps := p.StratumSizes()
-	switch opts.Norm {
-	case L2, Lp:
-		betas, err := p.Betas()
-		if err != nil {
-			return nil, err
-		}
-		exp := 0.5
-		if opts.Norm == Lp {
-			if opts.P < 1 {
-				return nil, fmt.Errorf("core: Lp norm requires P >= 1, got %v", opts.P)
-			}
-			exp = opts.P / (opts.P + 2)
-		}
-		real, err := powerAllocation(betas, float64(m), exp)
-		if err != nil {
-			return nil, err
-		}
-		return RoundAllocation(real, caps, m, opts.minPerStratum())
-	case LInf:
-		return p.allocateInf(m, opts)
-	default:
-		return nil, fmt.Errorf("core: unknown norm %v", opts.Norm)
-	}
 }
 
 // Sample runs pass 2: draws Allocate's sizes uniformly without
@@ -221,10 +84,9 @@ func (p *Plan) Sample(m int, opts Options, rng *rand.Rand) (*sample.StratifiedSa
 // what makes Uniform lose on max error in the experiments. Used by tests
 // to verify optimality and by the ablation benches.
 func (p *Plan) ObjectiveL2(alloc []int) float64 {
-	cvs, weights := p.perEstimateCVs(alloc)
 	var total float64
-	for i, cv := range cvs {
-		total += weights[i] * cv * cv
+	for _, e := range p.PredictedCVs(alloc) {
+		total += e.Weight * e.CV * e.CV
 	}
 	return total
 }
@@ -232,34 +94,22 @@ func (p *Plan) ObjectiveL2(alloc []int) float64 {
 // ObjectiveLInf evaluates max_i CV[y_i] for an allocation (weights are
 // not applied, matching Section 5).
 func (p *Plan) ObjectiveLInf(alloc []int) float64 {
-	cvs, _ := p.perEstimateCVs(alloc)
 	m := 0.0
-	for _, cv := range cvs {
-		if cv > m {
-			m = cv
+	for _, e := range p.PredictedCVs(alloc) {
+		if e.CV > m {
+			m = e.CV
 		}
 	}
 	return m
-}
-
-// perEstimateCVs flattens PredictedCVs into parallel slices for the
-// objective evaluators.
-func (p *Plan) perEstimateCVs(alloc []int) (cvs, weights []float64) {
-	for _, e := range p.PredictedCVs(alloc) {
-		cvs = append(cvs, e.CV)
-		weights = append(weights, e.Weight)
-	}
-	return cvs, weights
 }
 
 // DescribeAllocation renders an allocation for diagnostics: stratum key,
 // population, sample size.
 func (p *Plan) DescribeAllocation(alloc []int) string {
 	var sb strings.Builder
-	nc := p.StratumSizes()
 	fmt.Fprintf(&sb, "stratification %v, %d strata\n", p.StratAttrs, p.NumStrata())
-	for c := 0; c < p.NumStrata(); c++ {
-		fmt.Fprintf(&sb, "  %-30s n=%-8d s=%d\n", p.Index.Key(c).String(), nc[c], alloc[c])
+	for c, g := range p.groups {
+		fmt.Fprintf(&sb, "  %-30s n=%-8d s=%d\n", p.Key(c).String(), g.N(), alloc[c])
 	}
 	return sb.String()
 }

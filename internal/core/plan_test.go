@@ -305,7 +305,7 @@ func TestAllocateSAMG(t *testing.T) {
 			}
 		}
 	}
-	keys, coarse := p.CoarseGroups(0)
+	keys, coarse, _ := p.CoarseGroups(0)
 	if len(keys) != 4 || len(coarse) != 4 {
 		t.Fatalf("query 0 coarse groups = %d want 4", len(keys))
 	}

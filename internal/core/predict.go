@@ -20,29 +20,23 @@ type EstimateCV struct {
 
 // PredictedCVs computes, for every (query, group, aggregate) estimate,
 // the CV implied by the given integer allocation using
-// VAR[y_a] = 1/n_a² Σ_{c∈C(a)} [n_c²σ_c²/s_c − n_cσ_c²] (Section 4.1).
-func (p *Plan) PredictedCVs(alloc []int) []EstimateCV {
-	nc := p.StratumSizes()
+// VAR[y_a] = 1/n_a² Σ_{c∈C(a)} [n_c²σ_c²/s_c − n_cσ_c²] (Section 4.1),
+// summing each group's member strata in ascending stratum id.
+func (st *strata) PredictedCVs(alloc []int) []EstimateCV {
 	var out []EstimateCV
-	for qi, q := range p.Queries {
-		f2c := p.proj[qi]
-		keys := p.coarseKeys[qi]
-		coarse := p.coarse[qi]
-		for a := range keys {
-			na := float64(coarse[a].N())
+	for qi, pr := range st.view() {
+		for a, key := range pr.keys {
+			na := float64(pr.stats[a].N())
 			if na == 0 {
 				continue
 			}
-			for _, ac := range q.Aggs {
-				pos := p.aggColPos[ac.Column]
-				mu := coarse[a].Cols[pos].Mean
+			for _, ac := range st.Queries[qi].Aggs {
+				pos := st.aggColPos[ac.Column]
+				mu := pr.stats[a].Cols[pos].Mean
 				var varY float64
 				undefined := false
-				for c := 0; c < len(f2c); c++ {
-					if f2c[c] != a {
-						continue
-					}
-					sigma2 := p.Collector.Group(c).Cols[pos].Variance()
+				for _, c := range pr.members[a] {
+					sigma2 := st.groups[c].Cols[pos].Variance()
 					if sigma2 == 0 {
 						continue
 					}
@@ -51,7 +45,7 @@ func (p *Plan) PredictedCVs(alloc []int) []EstimateCV {
 						undefined = true
 						break
 					}
-					n := float64(nc[c])
+					n := float64(st.groups[c].N())
 					varY += (n*n*sigma2/s - n*sigma2) / (na * na)
 				}
 				cv := math.Inf(1)
@@ -64,10 +58,10 @@ func (p *Plan) PredictedCVs(alloc []int) []EstimateCV {
 				}
 				out = append(out, EstimateCV{
 					Query:  qi,
-					Group:  keys[a].String(),
+					Group:  key.String(),
 					Column: ac.Column,
 					CV:     cv,
-					Weight: ac.weightFor(keys[a].String()),
+					Weight: ac.weightFor(key.String()),
 				})
 			}
 		}

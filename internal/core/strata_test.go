@@ -1,0 +1,197 @@
+package core
+
+// Plan and StreamSampler are two feeders of one strata model: these
+// tests pin that they agree on what a stratum is and on everything the
+// solver computes, and that a stream's guarantee describes the sample
+// its reservoirs can actually supply.
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/table"
+)
+
+func relClose(a, b float64) bool {
+	if a == b { // covers +Inf == +Inf
+		return true
+	}
+	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// streamOf feeds p's table through a fresh sampler of the given capacity.
+func streamOf(t *testing.T, p *Plan, capacity int) *StreamSampler {
+	t.Helper()
+	s, err := NewStreamSampler(p.Queries, capacity, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := StreamTable(s, p.Table); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// Values containing the "|" GroupKey.String() joins with must not merge
+// strata on either path (the stream used to key strata by that string).
+func TestPlanAndStreamAgreeOnStratumIdentity(t *testing.T) {
+	tbl := table.New("t", table.Schema{
+		{Name: "a", Kind: table.String}, {Name: "b", Kind: table.String}, {Name: "v", Kind: table.Float},
+	})
+	for i := 0; i < 10; i++ {
+		if err := tbl.AppendRow("x|y", "z", float64(1+i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.AppendRow("x", "y|z", float64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := NewPlan(tbl, []QuerySpec{{GroupBy: []string{"a", "b"}, Aggs: []AggColumn{{Column: "v"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := streamOf(t, p, 100)
+	if p.NumStrata() != 2 || s.NumStrata() != p.NumStrata() {
+		t.Fatalf("plan found %d strata, stream %d, want 2 and 2", p.NumStrata(), s.NumStrata())
+	}
+	for c := 0; c < 2; c++ {
+		if !slices.Equal(s.Key(c), p.Index.Key(c)) {
+			t.Fatalf("stratum %d: stream key %q, plan key %q", c, s.Key(c), p.Index.Key(c))
+		}
+	}
+}
+
+// ℓ∞ is the model's, so a single-query stream finalizes under it, and
+// with reservoirs that hold every row it allocates exactly as the plan.
+func TestStreamFinalizesUnderLInf(t *testing.T) {
+	tbl := makeTable(t, defaultSpecs())
+	p, err := NewPlan(tbl, streamSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Norm: LInf}
+	s := streamOf(t, p, tbl.NumRows())
+	for _, m := range []int{20, 150, 600} {
+		want, err := p.Allocate(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Allocate(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("m=%d: stream allocates %v, plan %v", m, got, want)
+		}
+		ss, err := s.Finalize(m, opts)
+		if err != nil {
+			t.Fatalf("m=%d: finalize under linf: %v", m, err)
+		}
+		for c := range ss.Strata {
+			if len(ss.Strata[c].Rows) != want[c] {
+				t.Fatalf("m=%d stratum %d: drew %d rows, allocation says %d", m, c, len(ss.Strata[c].Rows), want[c])
+			}
+		}
+	}
+	multi := []QuerySpec{streamSpecs()[0], {GroupBy: []string{"h"}, Aggs: []AggColumn{{Column: "u"}}}}
+	mp, err := NewPlan(tbl, multi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := streamOf(t, mp, 50).Finalize(20, opts); err == nil {
+		t.Fatal("CVOPT-INF over two queries must be rejected on a stream exactly as on a plan")
+	}
+}
+
+// One solver: over randomized tables, workloads and norms, a stream whose
+// reservoirs hold every row returns the plan's Allocate, PredictedCVs
+// and Autoscale; and when the reservoirs bind, Autoscale only ever
+// promises what Finalize then draws.
+func TestStreamSolverIsThePlanSolver(t *testing.T) {
+	trials := 300
+	if testing.Short() {
+		trials = 50
+	}
+	rng := rand.New(rand.NewSource(7))
+	norms := []Options{{}, {Norm: LInf}, {Norm: Lp, P: 3}, {MinPerStratum: -1}}
+	for trial := 0; trial < trials; trial++ {
+		p := randomPlanCase(t, rng)
+		opts := norms[rng.Intn(len(norms))]
+		if opts.Norm == LInf && len(p.Queries) > 1 {
+			opts = Options{}
+		}
+		target := math.Exp(math.Log(0.003) + rng.Float64()*math.Log(100))
+		params := AutoscaleParams{TargetCV: target, Step: 1 + rng.Intn(3), Opts: opts}
+
+		// capacity ≥ max n_c: nothing is clipped, everything agrees
+		s := streamOf(t, p, p.Table.NumRows())
+		if s.NumStrata() != p.NumStrata() {
+			t.Fatalf("trial %d: %d stream strata vs %d", trial, s.NumStrata(), p.NumStrata())
+		}
+		m := 1 + rng.Intn(p.Table.NumRows())
+		want, err := p.Allocate(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Allocate(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d m=%d: stream allocates %v, plan %v", trial, m, got, want)
+		}
+		pcv, scv := p.PredictedCVs(want), s.PredictedCVs(want)
+		if len(pcv) != len(scv) {
+			t.Fatalf("trial %d: %d vs %d estimates", trial, len(scv), len(pcv))
+		}
+		for i := range pcv {
+			if pcv[i].Group != scv[i].Group || pcv[i].Column != scv[i].Column || !relClose(pcv[i].CV, scv[i].CV) {
+				t.Fatalf("trial %d estimate %d: stream %+v, plan %+v", trial, i, scv[i], pcv[i])
+			}
+		}
+		pres, err := p.Autoscale(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sres, err := s.Autoscale(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sres.Budget != pres.Budget || sres.Met != pres.Met || sres.Evaluations != pres.Evaluations || !relClose(sres.AchievedCV, pres.AchievedCV) {
+			t.Fatalf("trial %d: stream autoscale %+v, plan %+v", trial, sres, pres)
+		}
+
+		// a capacity that binds: the promise is about the drawn sample
+		capacity := 1 + rng.Intn(6)
+		s = streamOf(t, p, capacity)
+		res, err := s.Autoscale(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for _, n := range p.StratumSizes() {
+			held += min(int(n), capacity)
+		}
+		if res.Budget > held {
+			t.Fatalf("trial %d: budget %d exceeds the %d rows the reservoirs hold", trial, res.Budget, held)
+		}
+		ss, err := s.Finalize(res.Budget, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn := make([]int, len(ss.Strata))
+		for c := range ss.Strata {
+			drawn[c] = len(ss.Strata[c].Rows)
+		}
+		if ss.TotalSampled() != res.Budget {
+			t.Fatalf("trial %d: autoscale chose %d rows, finalize drew %d", trial, res.Budget, ss.TotalSampled())
+		}
+		// judged by the independent two-pass plan, the drawn allocation
+		// delivers exactly the CV the stream reported
+		if honest := p.WorstCV(drawn); !relClose(honest, res.AchievedCV) || res.Met != (honest <= target) {
+			t.Fatalf("trial %d cap %d: reported %+v, drawn sample's worst CV %v (target %v)", trial, capacity, res, honest, target)
+		}
+	}
+}

@@ -29,160 +29,76 @@ import (
 // redistributed among the remaining strata (never lost). With
 // Cap >= max_c s_c the result is distributed identically to the
 // two-pass CVOPT sample.
+//
+// A StreamSampler is the same strata model a Plan is, fed row by row and
+// with every stratum's supply capped at what its reservoir holds,
+// min(n_c, Cap). The solver is the model's, so every norm, PredictedCVs,
+// WorstCV and Autoscale work on a stream exactly as on a Plan — and
+// describe the allocation Finalize will actually draw.
 type StreamSampler struct {
-	queries []QuerySpec
-	attrs   []string // stratification C = union of group-by attributes
-	cap     int
-	rng     *rand.Rand
+	strata
+	rng *rand.Rand
 
-	aggCols   []string
-	aggColPos map[string]int
-
-	keyToID map[string]int
-	keys    []table.GroupKey
-	groups  []*stats.GroupStats
-	res     []*sample.Reservoir
+	tbl  *table.Table    // the table observed rows belong to; set by the first Observe
+	aggs []*table.Column // the aggregation columns of tbl, in AggColumns order
+	res  []*sample.Reservoir
+	gids []int32   // Observe scratch: one batch of stratum ids
+	vals []float64 // Observe scratch: one row's aggregate values
 }
+
+// observeBatch is how many rows Observe assigns per kernel call.
+const observeBatch = 1024
 
 // NewStreamSampler prepares a one-pass sampler for the given queries.
 // cap is the per-stratum reservoir capacity (the memory/accuracy knob).
 func NewStreamSampler(queries []QuerySpec, capacity int, rng *rand.Rand) (*StreamSampler, error) {
-	if len(queries) == 0 {
-		return nil, errors.New("core: stream sampler needs at least one query")
-	}
 	if capacity <= 0 {
 		return nil, fmt.Errorf("core: non-positive reservoir capacity %d", capacity)
 	}
-	s := &StreamSampler{
-		queries:   queries,
-		cap:       capacity,
-		rng:       rng,
-		aggColPos: map[string]int{},
-		keyToID:   map[string]int{},
+	st, err := analyze(queries)
+	if err != nil {
+		return nil, err
 	}
-	seen := map[string]bool{}
-	for qi, q := range queries {
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("core: query %d: %w", qi, err)
-		}
-		for _, a := range q.GroupBy {
-			if !seen[a] {
-				seen[a] = true
-				s.attrs = append(s.attrs, a)
-			}
-		}
-		for _, ac := range q.Aggs {
-			if _, ok := s.aggColPos[ac.Column]; !ok {
-				s.aggColPos[ac.Column] = len(s.aggCols)
-				s.aggCols = append(s.aggCols, ac.Column)
-			}
-		}
-	}
-	return s, nil
+	st.capacity = capacity
+	return &StreamSampler{strata: st, rng: rng, gids: make([]int32, observeBatch), vals: make([]float64, len(st.aggCols))}, nil
 }
 
-// Attrs returns the stratification attributes in key order; Observe's
-// key argument must follow this order.
-func (s *StreamSampler) Attrs() []string { return append([]string(nil), s.attrs...) }
-
-// AggColumns returns the aggregation columns in the order Observe's vals
-// argument must follow.
-func (s *StreamSampler) AggColumns() []string { return append([]string(nil), s.aggCols...) }
-
-// Observe consumes one stream element: its stratification key (values of
-// Attrs, in order), its aggregate values (values of AggColumns, in
-// order), and the row id that identifies it for later retrieval.
-func (s *StreamSampler) Observe(key table.GroupKey, vals []float64, row int32) error {
-	if len(key) != len(s.attrs) {
-		return fmt.Errorf("core: stream key arity %d, want %d", len(key), len(s.attrs))
+// Observe consumes rows [lo, hi) of tbl, in order: each row is assigned
+// its stratum by the grouping kernel, updates that stratum's Welford
+// statistics and is offered to its reservoir under its row id. The first
+// call binds the sampler to tbl — whose stratification and aggregation
+// columns must exist — and every later call must name the same table,
+// which may have grown in between.
+func (s *StreamSampler) Observe(tbl *table.Table, lo, hi int) error {
+	if s.tbl == nil {
+		aggs, err := s.aggColumns(tbl)
+		if err != nil {
+			return err
+		}
+		if s.grouper, err = table.NewGrouper(tbl, s.StratAttrs); err != nil {
+			return err
+		}
+		s.tbl, s.aggs = tbl, aggs
+	} else if tbl != s.tbl {
+		return fmt.Errorf("core: stream sampler is bound to table %q", s.tbl.Name)
 	}
-	if len(vals) != len(s.aggCols) {
-		return fmt.Errorf("core: stream value arity %d, want %d", len(vals), len(s.aggCols))
+	for ; lo < hi; lo += len(s.gids) {
+		gids := s.gids[:min(hi-lo, len(s.gids))]
+		s.grouper.AssignRange(lo, lo+len(gids), gids)
+		for len(s.groups) < s.grouper.NumGroups() {
+			s.groups = append(s.groups, stats.NewGroupStats(len(s.aggCols)))
+			s.res = append(s.res, sample.NewReservoir(s.capacity, s.rng))
+		}
+		for i, id := range gids {
+			for j, c := range s.aggs {
+				s.vals[j] = c.Numeric(lo + i)
+			}
+			s.groups[id].Add(s.vals)
+			s.res[id].Offer(int32(lo + i))
+		}
+		s.stale = true
 	}
-	k := key.String()
-	id, ok := s.keyToID[k]
-	if !ok {
-		id = len(s.keys)
-		s.keyToID[k] = id
-		s.keys = append(s.keys, append(table.GroupKey(nil), key...))
-		s.groups = append(s.groups, stats.NewGroupStats(len(s.aggCols)))
-		s.res = append(s.res, sample.NewReservoir(s.cap, s.rng))
-	}
-	s.groups[id].Add(vals)
-	s.res[id].Offer(row)
 	return nil
-}
-
-// NumStrata returns the number of strata discovered so far.
-func (s *StreamSampler) NumStrata() int { return len(s.keys) }
-
-// betas evaluates the MAMG allocation scores from the streamed
-// statistics, mirroring Plan.Betas over the discovered strata.
-func (s *StreamSampler) betas() ([]float64, error) {
-	n := len(s.keys)
-	betas := make([]float64, n)
-	for _, q := range s.queries {
-		// project stream strata onto the query's coarse groups
-		pos := make([]int, len(q.GroupBy))
-		for i, a := range q.GroupBy {
-			p := -1
-			for j, sa := range s.attrs {
-				if sa == a {
-					p = j
-					break
-				}
-			}
-			if p < 0 {
-				return nil, fmt.Errorf("core: attribute %q missing from stream stratification", a)
-			}
-			pos[i] = p
-		}
-		coarseIdx := map[string]int{}
-		var coarse []*stats.GroupStats
-		var coarseKey []string
-		f2c := make([]int, n)
-		for id, key := range s.keys {
-			parts := make([]string, len(pos))
-			for i, p := range pos {
-				parts[i] = key[p]
-			}
-			ck := table.GroupKey(parts).String()
-			cid, ok := coarseIdx[ck]
-			if !ok {
-				cid = len(coarse)
-				coarseIdx[ck] = cid
-				coarse = append(coarse, stats.NewGroupStats(len(s.aggCols)))
-				coarseKey = append(coarseKey, ck)
-			}
-			if err := coarse[cid].Merge(s.groups[id]); err != nil {
-				return nil, err
-			}
-			f2c[id] = cid
-		}
-		for c := 0; c < n; c++ {
-			a := f2c[c]
-			na := float64(coarse[a].N())
-			if na == 0 {
-				continue
-			}
-			nc := float64(s.groups[c].N())
-			var inner float64
-			for _, ac := range q.Aggs {
-				p := s.aggColPos[ac.Column]
-				sigma2 := s.groups[c].Cols[p].Variance()
-				if sigma2 == 0 {
-					continue
-				}
-				mu := coarse[a].Cols[p].Mean
-				if mu == 0 {
-					return nil, fmt.Errorf("core: stream group %q has zero mean on column %q; CV undefined", coarseKey[a], ac.Column)
-				}
-				inner += ac.weightFor(coarseKey[a]) * sigma2 / (mu * mu)
-			}
-			betas[c] += nc * nc * inner / (na * na)
-		}
-	}
-	return betas, nil
 }
 
 // Finalize computes the CVOPT allocation for budget m over the streamed
@@ -191,93 +107,29 @@ func (s *StreamSampler) betas() ([]float64, error) {
 // strata is redistributed. The receiver remains usable (more Observe
 // calls followed by another Finalize are allowed).
 func (s *StreamSampler) Finalize(m int, opts Options) (*sample.StratifiedSample, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("core: non-positive budget %d", m)
-	}
-	if len(s.keys) == 0 {
+	if len(s.groups) == 0 {
 		return nil, errors.New("core: no data streamed")
 	}
-	if opts.Norm != L2 && opts.Norm != Lp {
-		return nil, fmt.Errorf("core: stream sampler supports L2/Lp norms, got %v", opts.Norm)
-	}
-	betas, err := s.betas()
+	sizes, err := s.Allocate(m, opts)
 	if err != nil {
 		return nil, err
 	}
-	exp := 0.5
-	if opts.Norm == Lp {
-		if opts.P < 1 {
-			return nil, fmt.Errorf("core: Lp norm requires P >= 1, got %v", opts.P)
-		}
-		exp = opts.P / (opts.P + 2)
+	held := make([][]int32, len(s.res))
+	for i, r := range s.res {
+		held[i] = r.Rows()
 	}
-	real, err := powerAllocation(betas, float64(m), exp)
+	out, err := sample.DrawStratified(held, sizes, s.StratAttrs, s.rng)
 	if err != nil {
 		return nil, err
 	}
-	caps := make([]int64, len(s.keys))
-	for i := range caps {
-		c := s.groups[i].N()
-		if c > int64(len(s.res[i].Rows())) {
-			c = int64(len(s.res[i].Rows())) // reservoir holds min(n_c, Cap)
-		}
-		caps[i] = c
-	}
-	sizes, err := RoundAllocation(real, caps, m, opts.minPerStratum())
-	if err != nil {
-		return nil, err
-	}
-	out := &sample.StratifiedSample{
-		Attrs:  s.Attrs(),
-		Strata: make([]sample.StratumSample, len(s.keys)),
-	}
-	for i := range s.keys {
-		held := s.res[i].Rows()
-		k := sizes[i]
-		idx := sample.UniformWithoutReplacement(len(held), k, s.rng)
-		picked := make([]int32, len(idx))
-		for j, p := range idx {
-			picked[j] = held[p]
-		}
-		out.Strata[i] = sample.StratumSample{PopulationN: s.groups[i].N(), Rows: picked}
+	for i, g := range s.groups {
+		out.Strata[i].PopulationN = g.N() // a reservoir stands for its whole stratum
 	}
 	return out, nil
 }
 
-// Key returns the key of stream stratum id.
-func (s *StreamSampler) Key(id int) table.GroupKey { return s.keys[id] }
-
 // StreamTable feeds an entire table through a StreamSampler (a
 // convenience for tests and for simulating a stream from stored data).
 func StreamTable(s *StreamSampler, tbl *table.Table) error {
-	attrCols := make([]*table.Column, len(s.attrs))
-	for i, a := range s.attrs {
-		c := tbl.Column(a)
-		if c == nil {
-			return fmt.Errorf("core: unknown stream attribute %q", a)
-		}
-		attrCols[i] = c
-	}
-	aggCols := make([]*table.Column, len(s.aggCols))
-	for i, a := range s.aggCols {
-		c := tbl.Column(a)
-		if c == nil {
-			return fmt.Errorf("core: unknown stream aggregate column %q", a)
-		}
-		aggCols[i] = c
-	}
-	key := make(table.GroupKey, len(attrCols))
-	vals := make([]float64, len(aggCols))
-	for r := 0; r < tbl.NumRows(); r++ {
-		for i, c := range attrCols {
-			key[i] = c.StringAt(r)
-		}
-		for i, c := range aggCols {
-			vals[i] = c.Numeric(r)
-		}
-		if err := s.Observe(key, vals, int32(r)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.Observe(tbl, 0, tbl.NumRows())
 }

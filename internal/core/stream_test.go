@@ -14,6 +14,23 @@ func streamSpecs() []QuerySpec {
 	return []QuerySpec{{GroupBy: []string{"g"}, Aggs: []AggColumn{{Column: "v"}}}}
 }
 
+// streamRows builds a (g, v) table of n rows in group g; v(i) defaults
+// to the constant 1.
+func streamRows(t *testing.T, g string, n int, v ...func(i int) float64) *table.Table {
+	t.Helper()
+	tbl := table.New("t", table.Schema{{Name: "g", Kind: table.String}, {Name: "v", Kind: table.Float}})
+	for i := 0; i < n; i++ {
+		x := 1.0
+		if len(v) > 0 {
+			x = v[0](i)
+		}
+		if err := tbl.AppendRow(g, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
 func TestStreamSamplerValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := NewStreamSampler(nil, 10, rng); err == nil {
@@ -26,23 +43,21 @@ func TestStreamSamplerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Observe(table.GroupKey{"a", "b"}, []float64{1}, 0); err == nil {
-		t.Fatalf("want key arity error")
-	}
-	if err := s.Observe(table.GroupKey{"a"}, []float64{1, 2}, 0); err == nil {
-		t.Fatalf("want value arity error")
-	}
 	if _, err := s.Finalize(10, Options{}); err == nil {
 		t.Fatalf("want error for empty stream")
 	}
-	if err := s.Observe(table.GroupKey{"a"}, []float64{1}, 0); err != nil {
+	tbl := streamRows(t, "a", 1)
+	if err := s.Observe(tbl, 0, 1); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.Observe(streamRows(t, "a", 1), 0, 1); err == nil {
+		t.Fatalf("want error for a second table")
 	}
 	if _, err := s.Finalize(0, Options{}); err == nil {
 		t.Fatalf("want error for zero budget")
 	}
-	if _, err := s.Finalize(10, Options{Norm: LInf}); err == nil {
-		t.Fatalf("stream sampler should reject LInf")
+	if _, err := s.Finalize(10, Options{Norm: Norm(9)}); err == nil {
+		t.Fatalf("want error for an unknown norm")
 	}
 	if _, err := s.Finalize(10, Options{Norm: Lp, P: 0.2}); err == nil {
 		t.Fatalf("want error for bad P")
@@ -215,7 +230,7 @@ func TestStreamSamplerMultiQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Attrs(); len(got) != 2 {
+	if got := s.StratAttrs; len(got) != 2 {
 		t.Fatalf("attrs = %v", got)
 	}
 	if got := s.AggColumns(); len(got) != 2 {
@@ -244,10 +259,9 @@ func TestStreamSamplerIncrementalRefinalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int32(0); i < 500; i++ {
-		if err := s.Observe(table.GroupKey{"early"}, []float64{100 + float64(i%7)}, i); err != nil {
-			t.Fatal(err)
-		}
+	tbl := streamRows(t, "early", 500, func(i int) float64 { return 100 + float64(i%7) })
+	if err := s.Observe(tbl, 0, 500); err != nil {
+		t.Fatal(err)
 	}
 	first, err := s.Finalize(40, Options{})
 	if err != nil {
@@ -257,10 +271,13 @@ func TestStreamSamplerIncrementalRefinalize(t *testing.T) {
 		t.Fatalf("first finalize should see 1 stratum")
 	}
 	// a new group arrives later with large relative variance
-	for i := int32(500); i < 600; i++ {
-		if err := s.Observe(table.GroupKey{"late"}, []float64{10 + 8*rng.NormFloat64()}, i); err != nil {
+	for i := 0; i < 100; i++ {
+		if err := tbl.AppendRow("late", 10+8*rng.NormFloat64()); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Observe(tbl, 500, 600); err != nil {
+		t.Fatal(err)
 	}
 	second, err := s.Finalize(40, Options{})
 	if err != nil {

@@ -82,10 +82,16 @@ func WorkloadWeights(tbl *table.Table, workload []WorkloadQuery) ([]QuerySpec, e
 				e.weights[col] = m
 				e.order = append(e.order, col)
 			}
+			// every group occurring in the data gets an explicit entry: a
+			// group no workload query touches must weigh 0, not fall back
+			// to the column's default weight (e.g. non-Science majors for
+			// query C when no other query covers them)
 			for id := 0; id < gi.NumStrata(); id++ {
+				freq := 0.0
 				if touched[id] {
-					m[gi.Key(id).String()] += float64(wq.Freq)
+					freq = float64(wq.Freq)
 				}
+				m[gi.Key(id).String()] += freq
 			}
 		}
 	}
@@ -95,39 +101,9 @@ func WorkloadWeights(tbl *table.Table, workload []WorkloadQuery) ([]QuerySpec, e
 		e := byGB[gbKey]
 		spec := QuerySpec{GroupBy: e.attrs}
 		for _, col := range e.order {
-			// Base weight 0 would mean "default 1" in weightFor; groups a
-			// workload never touches should get weight 0, so store every
-			// occurring group explicitly and use a tiny base via explicit
-			// zero entries being absent. We instead set Weight to the
-			// minimum observed so untouched groups (absent from the map)
-			// fall back to it only if they exist; to make them truly
-			// zero-weight they are added below with weight 0.
-			gw := map[string]float64{}
-			for k, v := range e.weights[col] {
-				gw[k] = v
-			}
-			spec.Aggs = append(spec.Aggs, AggColumn{Column: col, Weight: 1, GroupWeights: gw})
+			spec.Aggs = append(spec.Aggs, AggColumn{Column: col, Weight: 1, GroupWeights: e.weights[col]})
 		}
 		specs = append(specs, spec)
-	}
-
-	// For deterministic behavior, fill weight 0 for data groups never
-	// touched by the workload (e.g. non-Science majors for query C when
-	// no other query covers them — they would otherwise default to 1).
-	for si := range specs {
-		gi, err := table.BuildGroupIndex(tbl, specs[si].GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		for ai := range specs[si].Aggs {
-			gw := specs[si].Aggs[ai].GroupWeights
-			for id := 0; id < gi.NumStrata(); id++ {
-				k := gi.Key(id).String()
-				if _, ok := gw[k]; !ok {
-					gw[k] = 0
-				}
-			}
-		}
 	}
 	return specs, nil
 }

@@ -5,9 +5,13 @@ package ingest_test
 // instead of decaying as rows arrive.
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/ingest"
 )
 
@@ -97,5 +101,51 @@ func TestAutoscaledStreamCapBestEffort(t *testing.T) {
 	}
 	if p.Budget != 10 || p.AchievedCV <= 0.0001 {
 		t.Fatalf("cap-bound publication: budget=%d achieved=%v", p.Budget, p.AchievedCV)
+	}
+}
+
+// The published guarantee must describe the published sample: whatever
+// the reservoir capacity, achieved_cv is the worst predicted CV of the
+// rows actually drawn (judged by an independent two-pass plan over the
+// same snapshot), target_met follows from it, and the budget is the
+// sample's size. The search used to run over a throw-away plan capped at
+// n_c while the draw was capped at the reservoirs, so a binding capacity
+// published "0.02, met" over a sample whose worst CV was 0.13–0.56.
+func TestAutoscaledStreamGuaranteeDescribesTheSample(t *testing.T) {
+	tbl, err := datagen.OpenAQ(datagen.OpenAQConfig{Rows: 200000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []core.QuerySpec{{GroupBy: []string{"country"}, Aggs: []core.AggColumn{{Column: "value"}}}}
+	const target = 0.02
+	for _, capacity := range []int{0, 64, 16} { // 0 = ingest.DefaultCapacity
+		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
+			var pubs collectPubs
+			s, err := ingest.New(tbl, ingest.Config{Queries: queries, TargetCV: target, Capacity: capacity, Seed: 3}, pubs.publish)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			pub := pubs.snapshot()[0]
+
+			plan, err := core.NewPlan(pub.Snapshot, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drawn := make([]int, plan.NumStrata())
+			for _, r := range pub.Sample.Rows {
+				drawn[plan.Index.RowID[r]]++
+			}
+			honest := plan.WorstCV(drawn)
+			if math.Abs(pub.AchievedCV-honest) > 1e-9*honest {
+				t.Errorf("published achieved_cv %.6f, the drawn sample's worst CV is %.6f", pub.AchievedCV, honest)
+			}
+			if pub.TargetMet != (pub.AchievedCV <= target) {
+				t.Errorf("target_met %v beside achieved_cv %.6f (target %v)", pub.TargetMet, pub.AchievedCV, target)
+			}
+			if pub.Budget != len(pub.Sample.Rows) {
+				t.Errorf("published budget %d, sample holds %d rows", pub.Budget, len(pub.Sample.Rows))
+			}
+		})
 	}
 }

@@ -72,15 +72,18 @@ type Config struct {
 	// target — the guarantee tracks the data instead of decaying with
 	// it. Exactly one of Budget, Rate and TargetCV must be set.
 	TargetCV float64
-	// MaxBudget caps the autoscale search per refresh (0 = the current
-	// row count). When the cap binds, the publication reports
-	// TargetMet false with the CV it did achieve. Requires TargetCV.
+	// MaxBudget caps the autoscale search per refresh (0 = every row
+	// the reservoirs hold). When the cap binds — or the reservoirs are
+	// too small for the target — the publication reports TargetMet
+	// false with the CV it did achieve. Requires TargetCV.
 	MaxBudget int
 	// Capacity is the per-stratum reservoir capacity (0 =
 	// DefaultCapacity). Allocations beyond it are clipped with the
-	// surplus redistributed, exactly as in core.StreamSampler.
+	// surplus redistributed, exactly as in core.StreamSampler, and the
+	// autoscale search and its reported CV account for the clipping.
 	Capacity int
-	// Opts selects the norm (StreamSampler supports L2 and Lp).
+	// Opts selects the norm and repair, exactly as for a static build
+	// (ℓ∞ needs a single-query workload).
 	Opts core.Options
 	// Seed seeds the reservoir RNG; 0 derives one from the table name.
 	Seed int64
@@ -100,9 +103,6 @@ type Config struct {
 
 // validate rejects configurations the sampler would choke on later.
 func (c Config) validate() error {
-	if len(c.Queries) == 0 {
-		return errors.New("ingest: streaming config needs at least one query")
-	}
 	sizings := 0
 	for _, set := range []bool{c.Budget > 0, c.Rate != 0, c.TargetCV != 0} {
 		if set {
@@ -171,11 +171,9 @@ type Stream struct {
 	cfg  Config
 
 	mu      sync.Mutex
-	tbl     *table.Table // private buffer; only this stream appends
-	sampler *core.StreamSampler
-	attrIdx []int // buffer column positions of sampler.Attrs()
-	aggIdx  []int // buffer column positions of sampler.AggColumns()
-	pending int   // rows appended since the last publication
+	tbl     *table.Table        // private buffer; only this stream appends
+	sampler *core.StreamSampler // bound to tbl; observes its rows as they land
+	pending int                 // rows appended since the last publication
 	gen     uint64
 	last    *Publication
 	publish func(*Publication)
@@ -207,11 +205,6 @@ func New(seed *table.Table, cfg Config, publish func(*Publication)) (*Stream, er
 	if cfg.Capacity == 0 {
 		cfg.Capacity = DefaultCapacity
 	}
-	for i, q := range cfg.Queries {
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("ingest: query %d: %v", i, err)
-		}
-	}
 	seedVal := cfg.Seed
 	if seedVal == 0 {
 		h := fnv.New64a()
@@ -232,27 +225,13 @@ func New(seed *table.Table, cfg Config, publish func(*Publication)) (*Stream, er
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	// resolve the sampler's attribute and aggregate columns against the
-	// schema once; Append re-reads values through these positions
-	for _, a := range sampler.Attrs() {
-		i := s.tbl.ColumnIndex(a)
-		if i < 0 {
-			return nil, fmt.Errorf("ingest: table %q has no column %q named by the workload", seed.Name, a)
-		}
-		s.attrIdx = append(s.attrIdx, i)
-	}
-	for _, a := range sampler.AggColumns() {
-		i := s.tbl.ColumnIndex(a)
-		if i < 0 {
-			return nil, fmt.Errorf("ingest: table %q has no column %q named by the workload", seed.Name, a)
-		}
-		s.aggIdx = append(s.aggIdx, i)
-	}
 	if err := s.tbl.AppendTable(seed); err != nil {
 		return nil, err
 	}
+	// binds the sampler to the buffer (resolving the workload's columns
+	// against its schema once) and feeds it the seed rows
 	if err := core.StreamTable(s.sampler, s.tbl); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ingest: table %q: %w", seed.Name, err)
 	}
 	if cfg.FirstGeneration > 0 {
 		s.gen = cfg.FirstGeneration - 1
@@ -414,13 +393,15 @@ type AppendStatus struct {
 func (s *Stream) Append(rows [][]any) (AppendStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	status := func(appended int) AppendStatus {
+		return AppendStatus{Appended: appended, Pending: s.pending, Rows: s.tbl.NumRows(), Generation: s.gen}
+	}
 	sch := s.tbl.Schema()
 	coerced := make([][]any, len(rows))
 	for i, row := range rows {
 		c, err := CoerceRow(sch, row)
 		if err != nil {
-			return AppendStatus{Pending: s.pending, Rows: s.tbl.NumRows(), Generation: s.gen},
-				fmt.Errorf("ingest: row %d: %w", i, err)
+			return status(0), fmt.Errorf("ingest: row %d: %w", i, err)
 		}
 		coerced[i] = c
 	}
@@ -434,42 +415,27 @@ func (s *Stream) Append(rows [][]any) (AppendStatus, error) {
 			_, err = s.wal.Append(wal.TypeRows, payload)
 		}
 		if err != nil {
-			return AppendStatus{Pending: s.pending, Rows: s.tbl.NumRows(), Generation: s.gen},
-				fmt.Errorf("ingest: wal append: %w", err)
+			return status(0), fmt.Errorf("ingest: wal append: %w", err)
 		}
 	}
-	key := make(table.GroupKey, len(s.attrIdx))
-	vals := make([]float64, len(s.aggIdx))
+	lo := s.tbl.NumRows()
 	for _, row := range coerced {
 		if err := s.tbl.AppendRow(row...); err != nil {
 			// unreachable after coercion; surface it loudly if not
-			return AppendStatus{Pending: s.pending, Rows: s.tbl.NumRows(), Generation: s.gen}, err
+			return status(0), err
 		}
-		r := s.tbl.NumRows() - 1
-		for i, ci := range s.attrIdx {
-			key[i] = s.tbl.Columns[ci].StringAt(r)
-		}
-		for i, ci := range s.aggIdx {
-			vals[i] = s.tbl.Columns[ci].Numeric(r)
-		}
-		if err := s.sampler.Observe(key, vals, int32(r)); err != nil {
-			return AppendStatus{Pending: s.pending, Rows: s.tbl.NumRows(), Generation: s.gen}, err
-		}
-		s.pending++
 	}
-	st := AppendStatus{
-		Appended:   len(rows),
-		Pending:    s.pending,
-		Rows:       s.tbl.NumRows(),
-		Generation: s.gen,
+	if err := s.sampler.Observe(s.tbl, lo, s.tbl.NumRows()); err != nil {
+		return status(0), err
 	}
+	s.pending += len(coerced)
 	if s.cfg.Policy.MaxPending > 0 && s.pending >= s.cfg.Policy.MaxPending {
 		select {
 		case s.kick <- struct{}{}:
 		default: // a wakeup is already queued
 		}
 	}
-	return st, nil
+	return status(len(rows)), nil
 }
 
 // Refresh finalizes and publishes a new generation now, regardless of
@@ -501,15 +467,13 @@ func (s *Stream) refreshLocked() (*Publication, error) {
 			m = 1
 		}
 	} else if s.cfg.TargetCV > 0 {
-		// re-run the budget search over the rows ingested so far. The
-		// search is pure evaluation (statistics pass + probes, no RNG),
-		// so WAL replay re-derives the same budget at the same point and
-		// the sampler's reservoir state stays deterministic.
-		plan, err := core.NewPlan(s.tbl, s.cfg.Queries)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: autoscale refresh: %w", err)
-		}
-		res, err := plan.Autoscale(core.AutoscaleParams{
+		// re-run the budget search over the sampler's own statistics and
+		// reservoir holdings — the allocation Finalize is about to draw —
+		// so the published guarantee describes the published sample. The
+		// search is pure evaluation over append-ordered Welford state (no
+		// scan, no RNG), so WAL replay re-derives the same budget at the
+		// same point and the reservoir state stays deterministic.
+		res, err := s.sampler.Autoscale(core.AutoscaleParams{
 			TargetCV:  s.cfg.TargetCV,
 			MaxBudget: s.cfg.MaxBudget,
 			Opts:      s.cfg.Opts,

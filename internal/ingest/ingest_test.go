@@ -368,6 +368,41 @@ func TestRefreshedSampleMatchesTwoPassBuild(t *testing.T) {
 	}
 }
 
+// A stream takes the norm a static build takes: registered under ℓ∞ over
+// a single-query workload it publishes (it used to fail every refresh
+// with "stream sampler supports L2/Lp norms"), and with reservoirs that
+// hold every row its per-stratum sizes are exactly Plan.Allocate's.
+func TestLInfStreamAllocatesAsThePlan(t *testing.T) {
+	const budget = 300
+	opts := core.Options{Norm: core.LInf}
+	var pubs collectPubs
+	s, err := ingest.New(seedTable(t, 4000), ingest.Config{
+		Queries: salesQueries(), Budget: budget, Capacity: 4000, Opts: opts, Seed: 5,
+	}, pubs.publish)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pub := pubs.snapshot()[0]
+	plan, err := core.NewPlan(pub.Snapshot, salesQueries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plan.Allocate(budget, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int, plan.NumStrata())
+	for _, r := range pub.Sample.Rows {
+		got[plan.Index.RowID[r]]++
+	}
+	for c := range want {
+		if got[c] != want[c] {
+			t.Fatalf("stratum %v: stream drew %d rows, plan allocates %d", plan.Index.Key(c), got[c], want[c])
+		}
+	}
+}
+
 // Concurrent appends and refreshes against published snapshots: the
 // race detector asserts the snapshot/append isolation, the checks
 // assert generation monotonicity and complete publications.

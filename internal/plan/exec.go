@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -16,168 +15,14 @@ import (
 // cache-resident.
 const batchSize = 1024
 
-// grouping strategies, picked per grouping set at Execute time.
-const (
-	gmGlobal uint8 = iota // no group columns: a single grand-total group
-	gmDense               // one string column: dense code → gid array
-	gmInt                 // one int column: map[int64]gid
-	gmBytes               // multi-column: fixed-width binary key → gid
-	gmJoin                // multi-column with NUL-bearing dictionary values:
-	// rendered joined key → gid, so groups merge exactly as the
-	// interpreter's "\x00"-joined map keys would
-)
-
-// setState is the per-execution accumulation state of one grouping set.
+// setState is the per-execution accumulation state of one grouping set:
+// the grouping kernel that maps rows to dense group ids in first-visit
+// order (the interpreter's visit order over the same row stream, so
+// per-group accumulation order is identical) and the accumulators those
+// ids index.
 type setState struct {
-	pos  []int           // positions into the plan's group columns
-	cols []*table.Column // bound group columns of this set
-	mode uint8
-
-	dense  []int32          // gmDense: dict code → gid+1 (0 = unseen)
-	intm   map[int64]int32  // gmInt
-	bytm   map[string]int32 // gmBytes
-	joinm  map[string]int32 // gmJoin
-	keybuf []byte
-
-	keys   [][]string // per gid: rendered key parts (output Row.Key)
-	joined []string   // per gid: the interpreter's map key (ordering)
-	accs   []aggAcc   // flat per-(gid, site): len = numGroups * stride
-}
-
-// dictHasNUL reports whether any dictionary value contains the "\x00"
-// the interpreter joins key parts with — the one case where joining is
-// not injective and code-tuple identity could split groups the
-// interpreter merges.
-func dictHasNUL(d *table.Dict) bool {
-	for i := 0; i < d.Len(); i++ {
-		if strings.IndexByte(d.Value(int32(i)), 0) >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func newSetState(pos []int, groupCols []*table.Column) *setState {
-	st := &setState{pos: pos}
-	for _, p := range pos {
-		st.cols = append(st.cols, groupCols[p])
-	}
-	switch {
-	case len(st.cols) == 0:
-		st.mode = gmGlobal
-	case len(st.cols) == 1 && st.cols[0].Spec.Kind == table.String:
-		st.mode = gmDense
-		st.dense = make([]int32, st.cols[0].Dict.Len())
-	case len(st.cols) == 1:
-		st.mode = gmInt
-		st.intm = make(map[int64]int32, 64)
-	default:
-		st.mode = gmBytes
-		for _, c := range st.cols {
-			if c.Spec.Kind == table.String && dictHasNUL(c.Dict) {
-				st.mode = gmJoin
-				break
-			}
-		}
-		if st.mode == gmBytes {
-			st.bytm = make(map[string]int32, 64)
-			st.keybuf = make([]byte, 8*len(st.cols))
-		} else {
-			st.joinm = make(map[string]int32, 64)
-		}
-	}
-	return st
-}
-
-// newGroup registers a fresh group: renders its key parts exactly as
-// the interpreter does (Column.StringAt) and grows the accumulators.
-func (st *setState) newGroup(r int32, stride int) int32 {
-	parts := make([]string, len(st.cols))
-	for i, c := range st.cols {
-		parts[i] = c.StringAt(int(r))
-	}
-	gid := int32(len(st.keys))
-	st.keys = append(st.keys, parts)
-	st.joined = append(st.joined, strings.Join(parts, "\x00"))
-	st.accs = append(st.accs, make([]aggAcc, stride)...)
-	return gid
-}
-
-// assign maps each batch row to its group id, creating groups in
-// first-visit order (the interpreter's visit order over the same row
-// stream, so per-group accumulation order is identical).
-func (st *setState) assign(rows []int32, n, stride int, gids []int32) {
-	switch st.mode {
-	case gmGlobal:
-		if len(st.keys) == 0 && n > 0 {
-			parts := make([]string, 0)
-			st.keys = append(st.keys, parts)
-			st.joined = append(st.joined, "")
-			st.accs = append(st.accs, make([]aggAcc, stride)...)
-		}
-		for i := 0; i < n; i++ {
-			gids[i] = 0
-		}
-	case gmDense:
-		codes := st.cols[0].Str
-		for i := 0; i < n; i++ {
-			r := rows[i]
-			code := codes[r]
-			id := st.dense[code]
-			if id == 0 {
-				id = st.newGroup(r, stride) + 1
-				st.dense[code] = id
-			}
-			gids[i] = id - 1
-		}
-	case gmInt:
-		vals := st.cols[0].Int
-		for i := 0; i < n; i++ {
-			r := rows[i]
-			v := vals[r]
-			id, ok := st.intm[v]
-			if !ok {
-				id = st.newGroup(r, stride)
-				st.intm[v] = id
-			}
-			gids[i] = id
-		}
-	case gmBytes:
-		for i := 0; i < n; i++ {
-			r := rows[i]
-			buf := st.keybuf
-			for ci, c := range st.cols {
-				var u uint64
-				if c.Spec.Kind == table.String {
-					u = uint64(uint32(c.Str[r]))
-				} else {
-					u = uint64(c.Int[r])
-				}
-				binary.BigEndian.PutUint64(buf[ci*8:], u)
-			}
-			id, ok := st.bytm[string(buf)]
-			if !ok {
-				id = st.newGroup(r, stride)
-				st.bytm[string(buf)] = id
-			}
-			gids[i] = id
-		}
-	default: // gmJoin
-		parts := make([]string, len(st.cols))
-		for i := 0; i < n; i++ {
-			r := rows[i]
-			for ci, c := range st.cols {
-				parts[ci] = c.StringAt(int(r))
-			}
-			k := strings.Join(parts, "\x00")
-			id, ok := st.joinm[k]
-			if !ok {
-				id = st.newGroup(r, stride)
-				st.joinm[k] = id
-			}
-			gids[i] = id
-		}
-	}
+	g    *table.Grouper
+	accs []aggAcc // flat per-(gid, site): len = numGroups * stride
 }
 
 // accumulate folds one site's batch values into the per-group
@@ -245,14 +90,14 @@ func (p *Plan) Execute(tbl *table.Table, rows []int32, weights []float64) (*exec
 	}
 
 	ec := newExecCtx(tbl.Columns, p.numSlots, p.boolSlots, p.tabSlots)
-	groupCols := make([]*table.Column, len(p.groupIdx))
-	for i, idx := range p.groupIdx {
-		groupCols[i] = tbl.Columns[idx]
-	}
 	stride := len(p.sites)
-	states := make([]*setState, len(p.sets))
-	for i, pos := range p.sets {
-		states[i] = newSetState(pos, groupCols)
+	states := make([]*setState, len(p.setNames))
+	for i, attrs := range p.setNames {
+		g, err := table.NewGrouper(tbl, attrs)
+		if err != nil {
+			return nil, err
+		}
+		states[i] = &setState{g: g}
 	}
 
 	rowBuf := make([]int32, batchSize)
@@ -321,7 +166,10 @@ func (p *Plan) Execute(tbl *table.Table, rows []int32, weights []float64) (*exec
 		}
 
 		for _, st := range states {
-			st.assign(rowBuf, n, stride, gidBuf)
+			st.g.Assign(rowBuf[:n], gidBuf)
+			if need := st.g.NumGroups()*stride - len(st.accs); need > 0 {
+				st.accs = append(st.accs, make([]aggAcc, need)...) // groups this batch created
+			}
 			for si := range p.sites {
 				accumulateSite(st.accs, stride, si, p.sites[si].kind, gidBuf[:n], argVecs[si], wBuf[:n], n)
 			}
@@ -334,14 +182,16 @@ func (p *Plan) Execute(tbl *table.Table, rows []int32, weights []float64) (*exec
 		AggLabels:  p.aggLabels,
 	}
 	for setIdx, st := range states {
-		order := make([]int, len(st.keys))
-		for i := range order {
-			order[i] = i
-		}
 		// The interpreter sorts groups by their "\x00"-joined rendered
 		// keys; joined keys are unique per group, so this order matches
 		// its sort.Strings exactly.
-		sort.Slice(order, func(i, j int) bool { return st.joined[order[i]] < st.joined[order[j]] })
+		order := make([]int, st.g.NumGroups())
+		joined := make([]string, len(order))
+		for gid := range order {
+			order[gid] = gid
+			joined[gid] = strings.Join(st.g.Key(gid), "\x00")
+		}
+		sort.Slice(order, func(i, j int) bool { return joined[order[i]] < joined[order[j]] })
 		for _, gid := range order {
 			siteVals := make([]float64, stride)
 			for si := range p.sites {
@@ -354,7 +204,7 @@ func (p *Plan) Execute(tbl *table.Table, rows []int32, weights []float64) (*exec
 			for ii, combine := range p.items {
 				aggs[ii] = combine(siteVals)
 			}
-			row := exec.Row{Set: setIdx, Key: st.keys[gid], Aggs: aggs}
+			row := exec.Row{Set: setIdx, Key: st.g.Key(gid), Aggs: aggs}
 			if rows != nil {
 				row.SE = make([]float64, len(p.items))
 				for ii, site := range p.itemSite {

@@ -46,7 +46,7 @@ func (p *Plan) Explain(in ExplainInput) *apiv1.PlanNode {
 
 	aggDetail := map[string]any{
 		"aggregates":    p.aggLabels,
-		"grouping_sets": len(p.sets),
+		"grouping_sets": len(p.setNames),
 	}
 	if len(p.groupAttrs) > 0 {
 		aggDetail["group_by"] = p.groupAttrs

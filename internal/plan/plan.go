@@ -44,9 +44,7 @@ type Plan struct {
 	schema    table.Schema // the schema at compile, what bindCheck compares
 
 	groupAttrs []string
-	groupIdx   []int // table column index per group attr
-	sets       [][]int
-	setNames   [][]string
+	setNames   [][]string // group attrs of each grouping set, in output order
 	cube       bool
 
 	where boolOp
@@ -106,7 +104,6 @@ func Compile(tbl *table.Table, q *sqlparse.Query) (*Plan, error) {
 		if tbl.Columns[idx].Spec.Kind == table.Float {
 			return nil, fmt.Errorf("plan: cannot group by float column %q", g)
 		}
-		p.groupIdx = append(p.groupIdx, idx)
 		grouped[g] = true
 	}
 	p.groupAttrs = append([]string(nil), q.GroupBy...)
@@ -118,23 +115,15 @@ func Compile(tbl *table.Table, q *sqlparse.Query) (*Plan, error) {
 	if q.Cube {
 		n := len(q.GroupBy)
 		for mask := (1 << n) - 1; mask >= 0; mask-- {
-			var pos []int
 			var names []string
 			for i := 0; i < n; i++ {
 				if mask&(1<<i) != 0 {
-					pos = append(pos, i)
 					names = append(names, q.GroupBy[i])
 				}
 			}
-			p.sets = append(p.sets, pos)
 			p.setNames = append(p.setNames, names)
 		}
 	} else {
-		pos := make([]int, len(q.GroupBy))
-		for i := range pos {
-			pos[i] = i
-		}
-		p.sets = append(p.sets, pos)
 		p.setNames = append(p.setNames, append([]string(nil), q.GroupBy...))
 	}
 

@@ -15,6 +15,7 @@ package samplers
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sample"
@@ -43,33 +44,20 @@ func fromStratified(ss *sample.StratifiedSample) *RowSample {
 	return &RowSample{Rows: rows, Weights: weights}
 }
 
-// stratify builds the finest stratification for the queries and returns
-// the index plus per-stratum row lists; shared by the stratified
-// competitors, which differ only in the allocation rule.
-func stratify(tbl *table.Table, queries []core.QuerySpec) (*table.GroupIndex, [][]int32, error) {
-	var attrs []string
-	seen := map[string]bool{}
-	for _, q := range queries {
-		for _, a := range q.GroupBy {
-			if !seen[a] {
-				seen[a] = true
-				attrs = append(attrs, a)
-			}
-		}
-	}
-	if len(attrs) == 0 {
-		return nil, nil, fmt.Errorf("samplers: queries declare no group-by attributes")
-	}
-	gi, err := table.BuildGroupIndex(tbl, attrs)
+// stratify builds the finest stratification for the queries; shared by
+// the stratified competitors, which differ only in the allocation rule.
+func stratify(tbl *table.Table, queries []core.QuerySpec) (*table.GroupIndex, error) {
+	attrs, err := core.StratAttrs(queries)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return gi, gi.RowsByStratum(), nil
+	return table.BuildGroupIndex(tbl, attrs)
 }
 
-// drawAndWeight draws the allocation and wraps it as a RowSample.
-func drawAndWeight(rowsBy [][]int32, sizes []int, attrs []string, rng *rand.Rand) (*RowSample, error) {
-	ss, err := sample.DrawStratified(rowsBy, sizes, attrs, rng)
+// drawAndWeight draws the allocation from the stratification's row
+// lists and wraps it as a RowSample.
+func drawAndWeight(gi *table.GroupIndex, sizes []int, rng *rand.Rand) (*RowSample, error) {
+	ss, err := sample.DrawStratified(gi.RowsByStratum(), sizes, gi.Attrs, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +129,7 @@ func (Senate) Name() string { return "Senate" }
 
 // Build implements Sampler.
 func (Senate) Build(tbl *table.Table, queries []core.QuerySpec, m int, rng *rand.Rand) (*RowSample, error) {
-	gi, rowsBy, err := stratify(tbl, queries)
+	gi, err := stratify(tbl, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +142,7 @@ func (Senate) Build(tbl *table.Table, queries []core.QuerySpec, m int, rng *rand
 	if err != nil {
 		return nil, err
 	}
-	return drawAndWeight(rowsBy, sizes, gi.Attrs, rng)
+	return drawAndWeight(gi, sizes, rng)
 }
 
 // Congress implements congressional sampling (CS): the allocation of a
@@ -171,7 +159,7 @@ func (Congress) Name() string { return "CS" }
 
 // Build implements Sampler.
 func (Congress) Build(tbl *table.Table, queries []core.QuerySpec, m int, rng *rand.Rand) (*RowSample, error) {
-	gi, rowsBy, err := stratify(tbl, queries)
+	gi, err := stratify(tbl, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +201,7 @@ func (Congress) Build(tbl *table.Table, queries []core.QuerySpec, m int, rng *ra
 	if err != nil {
 		return nil, err
 	}
-	return drawAndWeight(rowsBy, sizes, gi.Attrs, rng)
+	return drawAndWeight(gi, sizes, rng)
 }
 
 // RL implements the Rösch-Lehner heuristic: like CVOPT-SASG it sizes
@@ -237,25 +225,20 @@ func (RL) Build(tbl *table.Table, queries []core.QuerySpec, m int, rng *rand.Ran
 	if err != nil {
 		return nil, err
 	}
-	gi := plan.Index
-	nc := gi.StratumSizes()
+	nc := plan.StratumSizes()
 	r := plan.NumStrata()
+	aggCols := plan.AggColumns()
 	real := make([]float64, r)
 	perQuery := float64(m) / float64(len(queries))
 	for qi, q := range plan.Queries {
-		keys, coarse := plan.CoarseGroups(qi)
-		f2c, _, err := gi.Project(q.GroupBy)
-		if err != nil {
-			return nil, err
-		}
+		keys, coarse, f2c := plan.CoarseGroups(qi)
 		// CV per coarse group, averaged over the query's aggregates.
 		cv := make([]float64, len(keys))
 		var cvSum float64
 		for a := range keys {
 			var v float64
 			for _, ac := range q.Aggs {
-				pos := planAggPos(plan, ac.Column)
-				col := coarse[a].Cols[pos]
+				col := coarse[a].Cols[slices.Index(aggCols, ac.Column)]
 				if col.Mean != 0 {
 					v += col.StdDev() / abs(col.Mean)
 				}
@@ -267,16 +250,10 @@ func (RL) Build(tbl *table.Table, queries []core.QuerySpec, m int, rng *rand.Ran
 			continue
 		}
 		// spread each group's quota over its strata by stratum size
-		na := make([]float64, len(keys))
-		for c := 0; c < r; c++ {
-			na[f2c[c]] += float64(nc[c])
-		}
-		for c := 0; c < r; c++ {
-			a := f2c[c]
-			if na[a] == 0 {
-				continue
+		for c, a := range f2c {
+			if na := float64(coarse[a].N()); na != 0 {
+				real[c] += perQuery * (cv[a] / cvSum) * float64(nc[c]) / na
 			}
-			real[c] += perQuery * (cv[a] / cvSum) * float64(nc[c]) / na[a]
 		}
 	}
 	// RL's defining flaw: clip at the population without redistribution.
@@ -288,7 +265,7 @@ func (RL) Build(tbl *table.Table, queries []core.QuerySpec, m int, rng *rand.Ran
 		}
 		sizes[c] = s
 	}
-	return drawAndWeight(gi.RowsByStratum(), sizes, gi.Attrs, rng)
+	return drawAndWeight(plan.Index, sizes, rng)
 }
 
 func abs(x float64) float64 {
@@ -296,17 +273,6 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// planAggPos finds the position of a column in the plan's aggregate
-// union; the plan validated the column exists.
-func planAggPos(p *core.Plan, col string) int {
-	for i, c := range p.AggColumns() {
-		if c == col {
-			return i
-		}
-	}
-	return 0
 }
 
 // SampleSeek implements the sampling component of Sample+Seek:

@@ -6,8 +6,11 @@ package serve_test
 // their guarantee was computed over.
 
 import (
+	"math"
 	"net/http"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestHTTPStreamTargetCV(t *testing.T) {
@@ -58,6 +61,41 @@ func TestHTTPStreamTargetCV(t *testing.T) {
 		`{"queries": [{"group_by": ["region"], "aggs": [{"column": "amount"}]}], "budget": 10, "target_cv": 0.1}`,
 		nil); code == http.StatusCreated {
 		t.Fatal("budget + target_cv stream registration should be rejected")
+	}
+
+	// A capacity small enough that the reservoirs bind: 3 regions × 4
+	// held rows cannot reach the target, and the answer must say so with
+	// the CV those 12 rows do deliver — not the CV of the budget an
+	// unclipped search would have chosen.
+	ts2, _ := startServer(t)
+	code = post(t, ts2.URL+"/v1/tables/sales/stream", `{
+		"queries": [{"group_by": ["region"], "aggs": [{"column": "amount"}]}],
+		"target_cv": 0.005, "capacity": 4, "seed": 7
+	}`, nil)
+	if code != http.StatusCreated {
+		t.Fatalf("capacity-bound stream registration: %d", code)
+	}
+	var bound wireSample
+	if code := post(t, ts2.URL+"/v1/tables/sales/refresh", "", &bound); code != http.StatusOK {
+		t.Fatalf("capacity-bound refresh: %d", code)
+	}
+	plan, err := core.NewPlan(salesTable(t), streamCfg(0).Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make([]int, plan.NumStrata())
+	for c := range held {
+		held[c] = 4
+	}
+	honest := plan.WorstCV(held)
+	if bound.TargetMet == nil || *bound.TargetMet || bound.AchievedCV == nil {
+		t.Fatalf("binding reservoirs must answer target_met:false: %+v", bound)
+	}
+	if math.Abs(*bound.AchievedCV-honest) > 1e-9*honest || honest <= 0.005 {
+		t.Fatalf("achieved_cv %v, the 12 held rows deliver %v", *bound.AchievedCV, honest)
+	}
+	if bound.ChosenBudget != len(held)*4 || bound.Budget != bound.ChosenBudget {
+		t.Fatalf("chosen budget must be the rows the reservoirs hold: %+v", bound)
 	}
 }
 

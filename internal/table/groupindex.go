@@ -2,20 +2,20 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // GroupIndex assigns every row of a table to a stratum defined by the
 // combination of values of a set of attributes (the paper's "finest
 // stratification" over C = ∪ A_k). Stratum ids are dense integers in
-// [0, NumStrata); only combinations that actually occur in the data get
-// an id, as required by Sections 3–4.
+// [0, NumStrata), in first-occurrence order over the rows; only
+// combinations that actually occur in the data get an id, as required by
+// Sections 3–4.
 type GroupIndex struct {
-	Attrs   []string // stratification attribute names, in key order
-	RowID   []int32  // stratum id per row
-	keys    []GroupKey
-	keyToID map[string]int32
-	cols    []int // column positions of Attrs in the source table
+	Attrs []string // stratification attribute names, in key order
+	RowID []int32  // stratum id per row
+	g     *Grouper
 }
 
 // GroupKey is the tuple of attribute values identifying one stratum,
@@ -26,69 +26,40 @@ type GroupKey []string
 func (k GroupKey) String() string { return strings.Join(k, "|") }
 
 // BuildGroupIndex scans tbl once and assigns each row a stratum id based
-// on the given attribute names. String attributes compare by value; Int
-// attributes by their decimal rendering; Float attributes are rejected
-// because grouping on continuous attributes is ill-defined.
+// on the given attribute names: a Grouper over those attributes, run
+// over every row.
 func BuildGroupIndex(tbl *Table, attrs []string) (*GroupIndex, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("table: group index needs at least one attribute")
 	}
-	gi := &GroupIndex{
-		Attrs:   append([]string(nil), attrs...),
-		RowID:   make([]int32, tbl.NumRows()),
-		keyToID: make(map[string]int32),
+	g, err := NewGrouper(tbl, attrs)
+	if err != nil {
+		return nil, err
 	}
-	cols := make([]*Column, len(attrs))
-	for i, a := range attrs {
-		c := tbl.Column(a)
-		if c == nil {
-			return nil, fmt.Errorf("table: unknown group-by attribute %q", a)
-		}
-		if c.Spec.Kind == Float {
-			return nil, fmt.Errorf("table: cannot group by float column %q", a)
-		}
-		cols[i] = c
-		gi.cols = append(gi.cols, tbl.ColumnIndex(a))
-	}
-	var sb strings.Builder
-	parts := make([]string, len(attrs))
-	for r := 0; r < tbl.NumRows(); r++ {
-		sb.Reset()
-		for i, c := range cols {
-			if i > 0 {
-				sb.WriteByte(0)
-			}
-			switch c.Spec.Kind {
-			case String:
-				parts[i] = c.Dict.Value(c.Str[r])
-			case Int:
-				parts[i] = fmt.Sprintf("%d", c.Int[r])
-			}
-			sb.WriteString(parts[i])
-		}
-		key := sb.String()
-		id, ok := gi.keyToID[key]
-		if !ok {
-			id = int32(len(gi.keys))
-			gi.keyToID[key] = id
-			gi.keys = append(gi.keys, append(GroupKey(nil), parts...))
-		}
-		gi.RowID[r] = id
-	}
+	gi := &GroupIndex{Attrs: slices.Clone(attrs), RowID: make([]int32, tbl.NumRows()), g: g}
+	g.AssignRange(0, tbl.NumRows(), gi.RowID)
 	return gi, nil
 }
 
+// Grouper returns the kernel that assigned the index's stratum ids.
+func (g *GroupIndex) Grouper() *Grouper { return g.g }
+
 // NumStrata returns the number of distinct strata observed.
-func (g *GroupIndex) NumStrata() int { return len(g.keys) }
+func (g *GroupIndex) NumStrata() int { return g.g.NumGroups() }
 
 // Key returns the value tuple of stratum id.
-func (g *GroupIndex) Key(id int) GroupKey { return g.keys[id] }
+func (g *GroupIndex) Key(id int) GroupKey { return g.g.Key(id) }
 
 // ID returns the stratum id for a key tuple (values in Attrs order) and
-// whether the combination occurs in the data.
+// whether the combination occurs in the data. It scans the strata: a
+// diagnostic lookup, not a per-row path.
 func (g *GroupIndex) ID(key GroupKey) (int, bool) {
-	id, ok := g.keyToID[strings.Join(key, "\x00")]
-	return int(id), ok
+	for id := 0; id < g.NumStrata(); id++ {
+		if slices.Equal(g.Key(id), key) {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // Project maps each stratum of g onto the coarser grouping given by a
@@ -98,40 +69,17 @@ func (g *GroupIndex) ID(key GroupKey) (int, bool) {
 func (g *GroupIndex) Project(attrs []string) (fineToCoarse []int, coarseKeys []GroupKey, err error) {
 	pos := make([]int, len(attrs))
 	for i, a := range attrs {
-		p := -1
-		for j, ga := range g.Attrs {
-			if ga == a {
-				p = j
-				break
-			}
-		}
-		if p < 0 {
+		if pos[i] = slices.Index(g.Attrs, a); pos[i] < 0 {
 			return nil, nil, fmt.Errorf("table: projection attribute %q not in stratification %v", a, g.Attrs)
 		}
-		pos[i] = p
 	}
-	fineToCoarse = make([]int, len(g.keys))
-	coarseIdx := make(map[string]int)
-	for id, key := range g.keys {
-		parts := make([]string, len(attrs))
-		for i, p := range pos {
-			parts[i] = key[p]
-		}
-		ck := strings.Join(parts, "\x00")
-		cid, ok := coarseIdx[ck]
-		if !ok {
-			cid = len(coarseKeys)
-			coarseIdx[ck] = cid
-			coarseKeys = append(coarseKeys, GroupKey(parts))
-		}
-		fineToCoarse[id] = cid
-	}
+	fineToCoarse, coarseKeys = g.g.Project(pos)
 	return fineToCoarse, coarseKeys, nil
 }
 
 // StratumSizes returns the number of rows per stratum.
 func (g *GroupIndex) StratumSizes() []int64 {
-	n := make([]int64, len(g.keys))
+	n := make([]int64, g.NumStrata())
 	for _, id := range g.RowID {
 		n[id]++
 	}
