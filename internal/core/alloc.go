@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
+	"container/heap"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // SqrtAllocation is the Lemma 1 solution: minimize Σ α_i/s_i subject to
@@ -142,7 +144,7 @@ func RoundAllocation(real []float64, caps []int64, m int, minPer int) ([]int, er
 		used += out[i]
 		rems = append(rems, rem{i, s - fl})
 	}
-	sort.Slice(rems, func(a, b int) bool { return rems[a].f > rems[b].f })
+	slices.SortFunc(rems, func(a, b rem) int { return cmp.Compare(b.f, a.f) })
 	for _, r := range rems {
 		if used >= m {
 			break
@@ -159,7 +161,7 @@ func RoundAllocation(real []float64, caps []int64, m int, minPer int) ([]int, er
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool { return share[order[a]] > share[order[b]] })
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(share[b], share[a]) })
 		for used < m {
 			progress := false
 			for _, i := range order {
@@ -188,18 +190,25 @@ func RoundAllocation(real []float64, caps []int64, m int, minPer int) ([]int, er
 			}
 		}
 		if m >= nonEmpty*minPer {
-			for i := range out {
-				want := minPer
-				if int64(want) > caps[i] {
-					want = int(caps[i])
+			d := donors{out: out}
+			for j, v := range out {
+				if v > minPer && caps[j] > 0 {
+					d.idx = append(d.idx, j)
 				}
-				for out[i] < want {
-					j := richestAbove(out, caps, minPer)
-					if j < 0 {
-						break
-					}
+			}
+			heap.Init(&d)
+			// recipients sit below the floor, so they never become donors
+			for i := range out {
+				want := min(minPer, int(caps[i]))
+				for out[i] < want && d.Len() > 0 {
+					j := d.idx[0]
 					out[j]--
 					out[i]++
+					if out[j] > minPer {
+						heap.Fix(&d, 0)
+					} else {
+						heap.Pop(&d)
+					}
 				}
 			}
 		}
@@ -207,16 +216,25 @@ func RoundAllocation(real []float64, caps []int64, m int, minPer int) ([]int, er
 	return out, nil
 }
 
-// richestAbove returns the index with the largest allocation strictly
-// above minPer (so stealing cannot push a donor below the floor), or -1.
-func richestAbove(out []int, caps []int64, minPer int) int {
-	best, bestV := -1, minPer
-	for i, v := range out {
-		if v > bestV && caps[i] > 0 {
-			best, bestV = i, v
-		}
-	}
-	return best
+// donors is a max-heap of the strata allocated strictly above the floor,
+// richest first and lowest index among equals, so the repair steals from
+// exactly the stratum a first-index argmax scan would pick.
+type donors struct {
+	idx []int
+	out []int
+}
+
+func (d *donors) Len() int { return len(d.idx) }
+func (d *donors) Less(a, b int) bool {
+	i, j := d.idx[a], d.idx[b]
+	return d.out[i] > d.out[j] || d.out[i] == d.out[j] && i < j
+}
+func (d *donors) Swap(a, b int) { d.idx[a], d.idx[b] = d.idx[b], d.idx[a] }
+func (d *donors) Push(x any)    { d.idx = append(d.idx, x.(int)) }
+func (d *donors) Pop() any {
+	x := d.idx[len(d.idx)-1]
+	d.idx = d.idx[:len(d.idx)-1]
+	return x
 }
 
 // SumInts is a small helper used across the package and its tests.

@@ -3,8 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/datagen"
 )
 
 func TestSqrtAllocationClosedForm(t *testing.T) {
@@ -354,5 +358,238 @@ func TestOptionsMinPerStratum(t *testing.T) {
 	}
 	if (Options{MinPerStratum: 3}).minPerStratum() != 3 {
 		t.Fatalf("explicit floor ignored")
+	}
+}
+
+// roundAllocationRef is RoundAllocation as first written: the same
+// water-filling and largest-remainder rounding, with a linear argmax scan
+// per stolen row in the min-per-stratum repair. It is the oracle the
+// heap-based repair must match bit for bit.
+func roundAllocationRef(real []float64, caps []int64, m int, minPer int) []int {
+	n := len(real)
+	out := make([]int, n)
+	if n == 0 || m <= 0 {
+		return out
+	}
+	var totalCap int64
+	for _, c := range caps {
+		totalCap += c
+	}
+	if int64(m) >= totalCap {
+		for i, c := range caps {
+			out[i] = int(c)
+		}
+		return out
+	}
+	share := append([]float64(nil), real...)
+	capped := make([]bool, n)
+	budget := float64(m)
+	for {
+		var sumShare float64
+		for i := range share {
+			if !capped[i] {
+				sumShare += share[i]
+			}
+		}
+		if sumShare <= 0 {
+			break
+		}
+		overflow := false
+		scale := budget / sumShare
+		for i := range share {
+			if capped[i] {
+				continue
+			}
+			if share[i]*scale >= float64(caps[i]) {
+				capped[i] = true
+				budget -= float64(caps[i])
+				overflow = true
+			}
+		}
+		if !overflow {
+			for i := range share {
+				if !capped[i] {
+					share[i] *= scale
+				} else {
+					share[i] = float64(caps[i])
+				}
+			}
+			break
+		}
+	}
+	for i := range share {
+		if capped[i] {
+			share[i] = float64(caps[i])
+		}
+	}
+	type rem struct {
+		i int
+		f float64
+	}
+	rems := make([]rem, 0, n)
+	used := 0
+	for i, s := range share {
+		fl := math.Floor(s)
+		if fl > float64(caps[i]) {
+			fl = float64(caps[i])
+		}
+		out[i] = int(fl)
+		used += out[i]
+		rems = append(rems, rem{i, s - fl})
+	}
+	sort.Slice(rems, func(a, b int) bool { return rems[a].f > rems[b].f })
+	for _, r := range rems {
+		if used >= m {
+			break
+		}
+		if int64(out[r.i]) < caps[r.i] {
+			out[r.i]++
+			used++
+		}
+	}
+	if used < m {
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool { return share[order[a]] > share[order[b]] })
+		for used < m {
+			progress := false
+			for _, i := range order {
+				if used >= m {
+					break
+				}
+				if int64(out[i]) < caps[i] {
+					out[i]++
+					used++
+					progress = true
+				}
+			}
+			if !progress {
+				break
+			}
+		}
+	}
+	if minPer > 0 {
+		var nonEmpty int
+		for _, c := range caps {
+			if c > 0 {
+				nonEmpty++
+			}
+		}
+		if m >= nonEmpty*minPer {
+			for i := range out {
+				want := minPer
+				if int64(want) > caps[i] {
+					want = int(caps[i])
+				}
+				for out[i] < want {
+					j := richestAbove(out, caps, minPer)
+					if j < 0 {
+						break
+					}
+					out[j]--
+					out[i]++
+				}
+			}
+		}
+	}
+	return out
+}
+
+// richestAbove returns the index with the largest allocation strictly
+// above minPer, the first such index on ties, or -1.
+func richestAbove(out []int, caps []int64, minPer int) int {
+	best, bestV := -1, minPer
+	for i, v := range out {
+		if v > bestV && caps[i] > 0 {
+			best, bestV = i, v
+		}
+	}
+	return best
+}
+
+// Differential: RoundAllocation equals the reference on small random
+// inputs full of ties and zeros — real shares drawn from a handful of
+// values, caps including 0, budgets from 0 to past Σcaps, floors 0–3.
+func TestRoundAllocationMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	shares := []float64{0, 0, 0.5, 1, 1, 2.25, 7}
+	repaired := 0
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(40)
+		real := make([]float64, n)
+		caps := make([]int64, n)
+		var totalCap int64
+		for i := range real {
+			if rng.Intn(4) == 0 {
+				real[i] = 10 * rng.Float64()
+			} else {
+				real[i] = shares[rng.Intn(len(shares))]
+			}
+			caps[i] = int64(rng.Intn(8))
+			totalCap += caps[i]
+		}
+		m := rng.Intn(int(totalCap) + 6)
+		minPer := rng.Intn(4)
+		got, err := RoundAllocation(real, caps, m, minPer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := roundAllocationRef(real, caps, m, minPer); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: RoundAllocation(%v, %v, %d, %d) = %v, reference %v", trial, real, caps, m, minPer, got, want)
+		}
+		if !slices.Equal(got, roundAllocationRef(real, caps, m, 0)) {
+			repaired++
+		}
+	}
+	if repaired < 300 {
+		t.Fatalf("only %d trials exercised the min-per-stratum repair", repaired)
+	}
+}
+
+// openAQPlan is the paper_build workload of the end-to-end benchmark over
+// a rows-row OpenAQ table: the monthly per-(country, parameter) series of
+// value and the per-(country, parameter) summary of value and latitude.
+func openAQPlan(tb testing.TB, rows int) *Plan {
+	tb.Helper()
+	tbl, err := datagen.OpenAQ(datagen.OpenAQConfig{Rows: rows, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := NewPlan(tbl, []QuerySpec{
+		{GroupBy: []string{"country", "parameter", "year", "month"}, Aggs: []AggColumn{{Column: "value"}}},
+		{GroupBy: []string{"country", "parameter"}, Aggs: []AggColumn{{Column: "value"}, {Column: "latitude"}}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// Differential at plan scale: on the real ℓ2 shares of thousands of
+// strata, over a budget sweep from 1 row to the whole table and floors
+// 1–3, RoundAllocation equals the reference.
+func TestRoundAllocationMatchesReferenceAtPlanScale(t *testing.T) {
+	p := openAQPlan(t, 300_000)
+	total := p.Table.NumRows()
+	for m := 1; ; m = m*3/2 + 1 {
+		m = min(m, total)
+		real, err := powerAllocation(p.betas, float64(m), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for minPer := 1; minPer <= 3; minPer++ {
+			got, err := RoundAllocation(real, p.caps, m, minPer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := roundAllocationRef(real, p.caps, m, minPer); !slices.Equal(got, want) {
+				t.Fatalf("budget %d, floor %d: RoundAllocation differs from the reference", m, minPer)
+			}
+		}
+		if m == total {
+			break
+		}
 	}
 }

@@ -66,21 +66,22 @@ type AutoscaleResult struct {
 
 // WorstCV returns the largest predicted CV over all (query, group,
 // aggregate) estimates under the given allocation — the quantity
-// autoscaling drives below the target. Estimates whose weight is zero
-// are ignored: a caller that explicitly zero-weighted a group declared
-// its accuracy irrelevant, so it must not hold the budget hostage.
+// autoscaling drives below the target — walking the estimates
+// PredictedCVs reports without building them. Estimates whose weight is
+// zero are ignored: a caller that explicitly zero-weighted a group
+// declared its accuracy irrelevant, so it must not hold the budget hostage.
 // Weights otherwise gate inclusion only; they do not scale the CV,
 // because the target is a per-group guarantee, not a norm.
 func (st *strata) WorstCV(alloc []int) float64 {
 	worst := 0.0
-	for _, e := range st.PredictedCVs(alloc) {
-		if e.Weight <= 0 {
-			continue
+	st.eachCV(alloc, func(_, _, _ int, cv, w float64) {
+		if w <= 0 {
+			return
 		}
-		if e.CV > worst {
-			worst = e.CV
+		if cv > worst {
+			worst = cv
 		}
-	}
+	})
 	return worst
 }
 

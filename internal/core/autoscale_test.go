@@ -249,3 +249,20 @@ func bits(n int) int {
 	}
 	return b
 }
+
+// BenchmarkAutoscale times one budget search to a worst CV of 0.2 over
+// the paper_build workload on a 300 k-row OpenAQ table (~9.9 k strata):
+// every probe is a full allocation plus a CV prediction.
+func BenchmarkAutoscale(b *testing.B) {
+	p := openAQPlan(b, 300_000)
+	b.ResetTimer()
+	var evals int
+	for i := 0; i < b.N; i++ {
+		res, err := p.Autoscale(AutoscaleParams{TargetCV: 0.2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals = res.Evaluations
+	}
+	b.ReportMetric(float64(evals), "evals/op")
+}

@@ -71,23 +71,22 @@ func (st *strata) allocateInf(m int, opts Options) ([]int, error) {
 		return RoundAllocation(real, st.caps, m, opts.minPerStratum())
 	}
 
-	// x_i(q) as in the paper; S(q) = Σ x_i(q) is increasing in q.
-	xs := func(qv float64) ([]float64, float64) {
-		x := make([]float64, r)
-		var sum float64
-		for i := 0; i < r; i++ {
-			t := qv * d[i] / dTotal
-			x[i] = t / (1 + t) * float64(nc[i])
-			sum += x[i]
-		}
-		return x, sum
+	// x_i(q) as in the paper; S(q) = Σ x_i(q) is increasing in q. The
+	// search needs only S, so x is materialized once, at the chosen q.
+	xi := func(qv float64, i int) float64 {
+		t := qv * d[i] / dTotal
+		return t / (1 + t) * float64(nc[i])
 	}
 
 	// Binary search the largest integer q in [0, totalN] with S(q) <= M.
 	lo, hi := int64(0), totalN
 	for lo < hi {
 		mid := lo + (hi-lo+1)/2
-		if _, s := xs(float64(mid)); s <= float64(m) {
+		var s float64
+		for i := 0; i < r; i++ {
+			s += xi(float64(mid), i)
+		}
+		if s <= float64(m) {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -97,7 +96,12 @@ func (st *strata) allocateInf(m int, opts Options) ([]int, error) {
 	if qv == 0 {
 		qv = 1
 	}
-	x, sum := xs(float64(qv))
+	x := make([]float64, r)
+	var sum float64
+	for i := range x {
+		x[i] = xi(float64(qv), i)
+		sum += x[i]
+	}
 	if sum <= 0 {
 		return nil, fmt.Errorf("core: CVOPT-INF degenerate allocation (q=%d)", qv)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 
@@ -8,58 +9,44 @@ import (
 	"repro/internal/table"
 )
 
-// parallelThreshold is the row count above which the statistics pass
-// fans out to worker goroutines; below it the goroutine and merge
-// overhead exceeds the scan cost.
-const parallelThreshold = 100000
+// statsChunkRows is how many rows one task of the statistics pass scans.
+// The split depends on the table alone, never on the machine, so the
+// merged per-stratum statistics — and every CV predicted from them — are
+// the same bits on every host. A table of at most one chunk is a single
+// sequential scan.
+const statsChunkRows = 1 << 19
 
-// collectStats runs the per-stratum statistics pass. For small tables it
-// scans sequentially; for large ones it splits the row range across
-// GOMAXPROCS workers, each feeding a private Collector, and merges the
-// per-stratum summaries with the exact parallel-variance rule — the
-// property internal/stats was designed around, so the result equals the
-// sequential scan's bit-for-bit up to float associativity.
+// collectStats runs the per-stratum statistics pass. Every chunk of
+// statsChunkRows rows feeds a private Collector, up to min(GOMAXPROCS, 8)
+// chunks at a time (the scan saturates memory bandwidth beyond that), and
+// the chunks merge in chunk order with the exact parallel-variance rule —
+// the property internal/stats was designed around, so the result equals
+// the sequential scan's up to float associativity.
 func collectStats(gi *table.GroupIndex, cols []*table.Column) (*stats.Collector, error) {
 	n := len(gi.RowID)
-	workers := runtime.GOMAXPROCS(0)
-	if n < parallelThreshold || workers < 2 {
-		return scanRange(gi, cols, 0, n)
-	}
-	if workers > 8 {
-		workers = 8 // merges are cheap but the scan saturates memory bandwidth
-	}
-	chunk := (n + workers - 1) / workers
-	partial := make([]*stats.Collector, workers)
-	errs := make([]error, workers)
+	chunks := max(1, (n+statsChunkRows-1)/statsChunkRows)
+	partial := make([]*stats.Collector, chunks)
+	errs := make([]error, chunks)
+	workers := min(runtime.GOMAXPROCS(0), 8, chunks)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
+	for w := range workers {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			partial[w], errs[w] = scanRange(gi, cols, lo, hi)
-		}(w, lo, hi)
+			for k := w; k < chunks; k += workers {
+				lo := k * statsChunkRows
+				partial[k], errs[k] = scanRange(gi, cols, lo, min(lo+statsChunkRows, n))
+			}
+		}()
 	}
 	wg.Wait()
-	out := stats.NewCollector(gi.NumStrata(), len(cols))
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		if partial[w] == nil {
-			continue
-		}
-		for c := 0; c < gi.NumStrata(); c++ {
-			if err := out.Group(c).Merge(partial[w].Group(c)); err != nil {
-				return nil, err
-			}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	out := partial[0] // merging chunk 0 into an empty collector would only copy it
+	for _, p := range partial[1:] {
+		for c := range gi.NumStrata() {
+			_ = out.Group(c).Merge(p.Group(c)) // cannot fail: equal arity
 		}
 	}
 	return out, nil

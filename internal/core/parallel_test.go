@@ -2,25 +2,49 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
-	"repro/internal/datagen"
+	"repro/internal/stats"
 	"repro/internal/table"
 )
 
-// The parallel statistics pass must agree with a sequential scan on
+// chunkedTable is a table of two and a half statistics chunks (600
+// strata over g × h, two float columns), built once for the tests that
+// need the chunked pass to actually split.
+var chunkedTable = sync.OnceValue(func() *table.Table {
+	tbl := table.New("t", table.Schema{
+		{Name: "g", Kind: table.Int},
+		{Name: "h", Kind: table.Int},
+		{Name: "v", Kind: table.Float},
+		{Name: "u", Kind: table.Float},
+	})
+	n := 2*statsChunkRows + statsChunkRows/2
+	tbl.Grow(n)
+	rng := rand.New(rand.NewSource(10))
+	for r := 0; r < n; r++ {
+		g := rng.Intn(200)
+		mean := float64(10 + 5*g)
+		if err := tbl.AppendRow(int64(g), int64(rng.Intn(3)), mean+mean/3*rng.NormFloat64(), 1000+rng.Float64()); err != nil {
+			panic(err)
+		}
+	}
+	return tbl
+})
+
+// The chunked statistics pass must agree with a sequential scan on
 // every per-stratum moment (count exactly; mean/variance to float
 // associativity tolerance).
 func TestParallelStatsMatchSequential(t *testing.T) {
-	tbl, err := datagen.OpenAQ(datagen.OpenAQConfig{Rows: 150000, Seed: 9}) // above parallelThreshold
+	tbl := chunkedTable()
+	gi, err := table.BuildGroupIndex(tbl, []string{"g", "h"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := table.BuildGroupIndex(tbl, []string{"country", "parameter"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := []*table.Column{tbl.Column("value"), tbl.Column("latitude")}
+	cols := []*table.Column{tbl.Column("v"), tbl.Column("u")}
 	seq, err := scanRange(gi, cols, 0, tbl.NumRows())
 	if err != nil {
 		t.Fatal(err)
@@ -54,49 +78,59 @@ func TestParallelStatsMatchSequential(t *testing.T) {
 	}
 }
 
-// NewPlan must be deterministic regardless of the parallel split: two
-// plans over the same table produce identical allocations.
+// NewPlan must not depend on the machine: whatever GOMAXPROCS is, a
+// table of several chunks yields bit-equal per-stratum statistics,
+// predicted CVs, allocations and autoscale results.
 func TestParallelPlanDeterministic(t *testing.T) {
-	tbl, err := datagen.OpenAQ(datagen.OpenAQConfig{Rows: 120000, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	tbl := chunkedTable()
+	specs := []QuerySpec{
+		{GroupBy: []string{"g", "h"}, Aggs: []AggColumn{{Column: "v"}}},
+		{GroupBy: []string{"g"}, Aggs: []AggColumn{{Column: "v"}, {Column: "u"}}},
 	}
-	specs := []QuerySpec{{GroupBy: []string{"country", "parameter"}, Aggs: []AggColumn{{Column: "value"}}}}
-	p1, err := NewPlan(tbl, specs)
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		stats []stats.Summary
+		cvs   []EstimateCV
+		alloc []int
+		auto  AutoscaleResult
 	}
-	p2, err := NewPlan(tbl, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := p1.Allocate(2000, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := p2.Allocate(2000, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatalf("allocation differs at stratum %d: %d vs %d", i, a1[i], a2[i])
+	var want outcome
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		p, err := NewPlan(tbl, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got outcome
+		for _, g := range p.groups {
+			got.stats = append(got.stats, g.Cols...)
+		}
+		if got.alloc, err = p.Allocate(2000, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		got.cvs = p.PredictedCVs(got.alloc)
+		res, err := p.Autoscale(AutoscaleParams{TargetCV: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.auto = *res
+		if procs == 1 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: plan differs from GOMAXPROCS=1", procs)
 		}
 	}
 }
 
 func BenchmarkStatsPassParallel(b *testing.B) {
-	tbl, err := datagen.OpenAQ(datagen.OpenAQConfig{Rows: 400000, Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gi, err := table.BuildGroupIndex(tbl, []string{"country", "parameter", "unit"})
+	tbl := chunkedTable()
+	gi, err := table.BuildGroupIndex(tbl, []string{"g", "h"})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := collectStats(gi, []*table.Column{tbl.Column("value")}); err != nil {
+		if _, err := collectStats(gi, []*table.Column{tbl.Column("v")}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,15 +138,12 @@ func BenchmarkStatsPassParallel(b *testing.B) {
 }
 
 func BenchmarkStatsPassSequential(b *testing.B) {
-	tbl, err := datagen.OpenAQ(datagen.OpenAQConfig{Rows: 400000, Seed: 11})
+	tbl := chunkedTable()
+	gi, err := table.BuildGroupIndex(tbl, []string{"g", "h"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	gi, err := table.BuildGroupIndex(tbl, []string{"country", "parameter", "unit"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cols := []*table.Column{tbl.Column("value")}
+	cols := []*table.Column{tbl.Column("v")}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := scanRange(gi, cols, 0, tbl.NumRows()); err != nil {

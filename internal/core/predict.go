@@ -24,13 +24,25 @@ type EstimateCV struct {
 // summing each group's member strata in ascending stratum id.
 func (st *strata) PredictedCVs(alloc []int) []EstimateCV {
 	var out []EstimateCV
+	st.eachCV(alloc, func(qi, a, k int, cv, w float64) {
+		out = append(out, EstimateCV{Query: qi, Group: st.proj[qi].keys[a].String(),
+			Column: st.Queries[qi].Aggs[k].Column, CV: cv, Weight: w})
+	})
+	return out
+}
+
+// eachCV is the one Section 4.1 walk: it hands visit the predicted CV and
+// the weight of estimate (query qi, coarse group a, aggregate k), in
+// query, group, aggregate order. It allocates nothing itself.
+func (st *strata) eachCV(alloc []int, visit func(qi, a, k int, cv, w float64)) {
 	for qi, pr := range st.view() {
-		for a, key := range pr.keys {
+		aggs := st.Queries[qi].Aggs
+		for a := range pr.keys {
 			na := float64(pr.stats[a].N())
 			if na == 0 {
 				continue
 			}
-			for _, ac := range st.Queries[qi].Aggs {
+			for k, ac := range aggs {
 				pos := st.aggColPos[ac.Column]
 				mu := pr.stats[a].Cols[pos].Mean
 				var varY float64
@@ -56,15 +68,8 @@ func (st *strata) PredictedCVs(alloc []int) []EstimateCV {
 				case mu != 0:
 					cv = math.Sqrt(math.Max(varY, 0)) / math.Abs(mu)
 				}
-				out = append(out, EstimateCV{
-					Query:  qi,
-					Group:  key.String(),
-					Column: ac.Column,
-					CV:     cv,
-					Weight: ac.weightFor(key.String()),
-				})
+				visit(qi, a, k, cv, pr.weights[a*len(aggs)+k])
 			}
 		}
 	}
-	return out
 }

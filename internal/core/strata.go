@@ -33,19 +33,22 @@ type strata struct {
 	capacity int
 
 	// derived from groups by view(); stale marks them out of date
-	stale bool
-	caps  []int64      // per stratum: min(n_c, capacity)
-	proj  []projection // per query
+	stale   bool
+	caps    []int64      // per stratum: min(n_c, capacity)
+	proj    []projection // per query
+	betas   []float64    // per stratum: β_c, which does not depend on M
+	betaErr error        // why β is undefined (a zero-mean coarse group), or nil
 }
 
 // projection is Π(·, A_i) for one query: where every stratum lands, which
-// strata make up every coarse group, and the coarse groups' keys and
-// merged statistics.
+// strata make up every coarse group, and the coarse groups' keys, merged
+// statistics and resolved weights.
 type projection struct {
 	f2c     []int               // stratum -> coarse group
 	members [][]int32           // coarse group -> its strata, ascending
 	keys    []table.GroupKey    // per coarse group
 	stats   []*stats.GroupStats // per coarse group: (n_a, µ_a, σ_a) merged over members
+	weights []float64           // per (coarse group a, aggregate k of the query): at a·len(Aggs)+k
 }
 
 // analyze is the one workload analysis: it validates the queries and
@@ -104,8 +107,8 @@ func (st *strata) aggColumns(tbl *table.Table) ([]*table.Column, error) {
 	return cols, nil
 }
 
-// view returns the per-query projections, re-deriving them and the caps
-// first if a feeder has changed the per-stratum statistics since.
+// view returns the per-query projections, re-deriving them, the caps and
+// β first if a feeder has changed the per-stratum statistics since.
 // Coarse statistics merge member strata in ascending stratum id, so they
 // do not depend on which feeder built the model.
 func (st *strata) view() []projection {
@@ -130,8 +133,17 @@ func (st *strata) view() []projection {
 			pr.members[a] = append(pr.members[a], int32(c))
 			_ = pr.stats[a].Merge(st.groups[c]) // cannot fail: every GroupStats here has len(aggCols) columns
 		}
+		aggs := st.Queries[qi].Aggs
+		pr.weights = make([]float64, 0, len(keys)*len(aggs))
+		for _, key := range keys {
+			k := key.String()
+			for _, ac := range aggs {
+				pr.weights = append(pr.weights, ac.weightFor(k))
+			}
+		}
 		st.proj[qi] = pr
 	}
+	st.betas, st.betaErr = st.deriveBetas()
 	st.stale = false
 	return st.proj
 }
@@ -162,7 +174,7 @@ func (st *strata) CoarseGroups(q int) (keys []table.GroupKey, coarse []*stats.Gr
 	return pr.keys, pr.stats, pr.f2c
 }
 
-// Betas computes the per-stratum allocation scores of the general MAMG
+// Betas returns the per-stratum allocation scores of the general MAMG
 // formula (Section 4.2):
 //
 //	β_c = n_c² Σ_i [ 1/n²_{Π(c,A_i)} Σ_{ℓ∈L_i} w_{Π(c,A_i),ℓ} σ²_{c,ℓ} / µ²_{Π(c,A_i),ℓ} ]
@@ -172,8 +184,18 @@ func (st *strata) CoarseGroups(q int) (keys []table.GroupKey, coarse []*stats.Gr
 // whose coarse groups have zero mean contribute +Inf CV; the paper
 // assumes non-zero means, so such terms are rejected with an error.
 func (st *strata) Betas() ([]float64, error) {
+	st.view()
+	if st.betaErr != nil {
+		return nil, st.betaErr
+	}
+	return slices.Clone(st.betas), nil
+}
+
+// deriveBetas computes β over freshly derived projections, once per view.
+func (st *strata) deriveBetas() ([]float64, error) {
 	betas := make([]float64, len(st.groups))
-	for qi, pr := range st.view() {
+	for qi, pr := range st.proj {
+		aggs := st.Queries[qi].Aggs
 		for c, g := range st.groups {
 			a := pr.f2c[c]
 			na := float64(pr.stats[a].N())
@@ -181,7 +203,7 @@ func (st *strata) Betas() ([]float64, error) {
 				continue
 			}
 			var inner float64
-			for _, ac := range st.Queries[qi].Aggs {
+			for k, ac := range aggs {
 				pos := st.aggColPos[ac.Column]
 				sigma2 := g.Cols[pos].Variance()
 				if sigma2 == 0 {
@@ -192,7 +214,7 @@ func (st *strata) Betas() ([]float64, error) {
 					return nil, fmt.Errorf("core: group %q has zero mean on column %q; CV undefined (paper §1 assumes non-zero means)",
 						pr.keys[a].String(), ac.Column)
 				}
-				inner += ac.weightFor(pr.keys[a].String()) * sigma2 / (mu * mu)
+				inner += pr.weights[a*len(aggs)+k] * sigma2 / (mu * mu)
 			}
 			nc := float64(g.N())
 			betas[c] += nc * nc * inner / (na * na)
@@ -212,9 +234,8 @@ func (st *strata) Allocate(m int, opts Options) ([]int, error) {
 	st.view()
 	switch opts.Norm {
 	case L2, Lp:
-		betas, err := st.Betas()
-		if err != nil {
-			return nil, err
+		if st.betaErr != nil {
+			return nil, st.betaErr
 		}
 		exp := 0.5
 		if opts.Norm == Lp {
@@ -223,7 +244,7 @@ func (st *strata) Allocate(m int, opts Options) ([]int, error) {
 			}
 			exp = opts.P / (opts.P + 2)
 		}
-		real, err := powerAllocation(betas, float64(m), exp)
+		real, err := powerAllocation(st.betas, float64(m), exp)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/table"
@@ -192,6 +194,145 @@ func TestStreamSolverIsThePlanSolver(t *testing.T) {
 		// delivers exactly the CV the stream reported
 		if honest := p.WorstCV(drawn); !relClose(honest, res.AchievedCV) || res.Met != (honest <= target) {
 			t.Fatalf("trial %d cap %d: reported %+v, drawn sample's worst CV %v (target %v)", trial, capacity, res, honest, target)
+		}
+	}
+}
+
+// WorstCV walks the same estimates PredictedCVs reports: over random
+// tables, workloads and norms, with default, explicit and zero weights,
+// it equals their largest CV among positive weights bit for bit — and
+// allocates nothing.
+func TestWorstCVMatchesPredictedCVs(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	norms := []Options{{}, {Norm: LInf}, {Norm: Lp, P: 3}}
+	for trial := 0; trial < 300; trial++ {
+		base := randomPlanCase(t, rng)
+		queries := slices.Clone(base.Queries)
+		for qi := range queries {
+			attr := queries[qi].GroupBy[0]
+			aggs := slices.Clone(queries[qi].Aggs)
+			for k := range aggs {
+				aggs[k].Weight = []float64{0, 0.5, 3}[rng.Intn(3)]
+				aggs[k].GroupWeights = map[string]float64{attr + "0": 0, attr + "1": 2 + rng.Float64()}
+			}
+			queries[qi].Aggs = aggs
+		}
+		p, err := NewPlan(base.Table, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := norms[rng.Intn(len(norms))]
+		if opts.Norm == LInf && len(queries) > 1 {
+			opts = Options{}
+		}
+		alloc, err := p.Allocate(1+rng.Intn(p.Table.NumRows()), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for _, e := range p.PredictedCVs(alloc) {
+			if e.Weight > 0 {
+				want = max(want, e.CV)
+			}
+		}
+		if got := p.WorstCV(alloc); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: WorstCV %v, max over PredictedCVs %v", trial, got, want)
+		}
+		if n := testing.AllocsPerRun(5, func() { p.WorstCV(alloc) }); n != 0 {
+			t.Fatalf("trial %d: WorstCV allocates %v times", trial, n)
+		}
+	}
+}
+
+// A Plan is read-only after NewPlan: every read path, run from many
+// goroutines at once on one shared Plan, returns what a sequential run
+// does (and `go test -race` sees no write).
+func TestPlanIsSafeToShare(t *testing.T) {
+	p := randomPlanCase(t, rand.New(rand.NewSource(32)))
+	type outcome struct {
+		betas []float64
+		alloc []int
+		cvs   []EstimateCV
+		auto  *AutoscaleResult
+	}
+	run := func() (o outcome, err error) {
+		if o.betas, err = p.Betas(); err != nil {
+			return o, err
+		}
+		if o.alloc, err = p.Allocate(p.Table.NumRows()/3, Options{}); err != nil {
+			return o, err
+		}
+		o.cvs = p.PredictedCVs(o.alloc)
+		o.auto, err = p.Autoscale(AutoscaleParams{TargetCV: 0.05})
+		return o, err
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]outcome, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("goroutine %d disagrees with the sequential run", i)
+		}
+	}
+}
+
+// The cached β belongs to the projections: rows a StreamSampler observes
+// after a Finalize re-derive it, so the next Finalize allocates exactly
+// as a fresh sampler over the same rows does.
+func TestStreamRederivesBetasAfterFinalize(t *testing.T) {
+	p := randomPlanCase(t, rand.New(rand.NewSource(33)))
+	n := p.Table.NumRows()
+	s, err := NewStreamSampler(p.Queries, 1000, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Observe(p.Table, 0, n/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Finalize(n/10, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Observe(p.Table, n/2, n); err != nil {
+		t.Fatal(err)
+	}
+	fresh := streamOf(t, p, 1000)
+	got, err := s.Betas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Betas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("β after more rows %v, fresh sampler %v", got, want)
+	}
+	ss, err := s.Finalize(n/10, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := fresh.Finalize(n/10, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range fs.Strata {
+		if len(ss.Strata[c].Rows) != len(fs.Strata[c].Rows) {
+			t.Fatalf("stratum %d: %d rows drawn, fresh sampler draws %d", c, len(ss.Strata[c].Rows), len(fs.Strata[c].Rows))
 		}
 	}
 }

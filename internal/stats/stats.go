@@ -179,8 +179,11 @@ var ErrArity = errors.New("stats: observation arity mismatch")
 // aggregation columns.
 func NewCollector(nStrata, arity int) *Collector {
 	c := &Collector{arity: arity, groups: make([]*GroupStats, nStrata)}
+	gs := make([]GroupStats, nStrata) // one allocation per collector, not per stratum
+	cols := make([]Summary, nStrata*arity)
 	for i := range c.groups {
-		c.groups[i] = NewGroupStats(arity)
+		gs[i].Cols = cols[i*arity : (i+1)*arity : (i+1)*arity]
+		c.groups[i] = &gs[i]
 	}
 	return c
 }
