@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 
@@ -22,11 +21,10 @@ const statsChunkRows = 1 << 19
 // the chunks merge in chunk order with the exact parallel-variance rule —
 // the property internal/stats was designed around, so the result equals
 // the sequential scan's up to float associativity.
-func collectStats(gi *table.GroupIndex, cols []*table.Column) (*stats.Collector, error) {
+func collectStats(gi *table.GroupIndex, cols []*table.Column) *stats.Collector {
 	n := len(gi.RowID)
 	chunks := max(1, (n+statsChunkRows-1)/statsChunkRows)
 	partial := make([]*stats.Collector, chunks)
-	errs := make([]error, chunks)
 	workers := min(runtime.GOMAXPROCS(0), 8, chunks)
 	var wg sync.WaitGroup
 	for w := range workers {
@@ -35,34 +33,37 @@ func collectStats(gi *table.GroupIndex, cols []*table.Column) (*stats.Collector,
 			defer wg.Done()
 			for k := w; k < chunks; k += workers {
 				lo := k * statsChunkRows
-				partial[k], errs[k] = scanRange(gi, cols, lo, min(lo+statsChunkRows, n))
+				partial[k] = scanRange(gi, cols, lo, min(lo+statsChunkRows, n))
 			}
 		}()
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
 	out := partial[0] // merging chunk 0 into an empty collector would only copy it
 	for _, p := range partial[1:] {
 		for c := range gi.NumStrata() {
 			_ = out.Group(c).Merge(p.Group(c)) // cannot fail: equal arity
 		}
 	}
-	return out, nil
+	return out
 }
 
-// scanRange accumulates rows [lo, hi) into a fresh collector.
-func scanRange(gi *table.GroupIndex, cols []*table.Column, lo, hi int) (*stats.Collector, error) {
+// scanRange accumulates rows [lo, hi) into a fresh collector, one
+// aggregation column at a time over its typed slice. Each (stratum,
+// column) summary still receives its values in row order, so every bit
+// equals a row-at-a-time scan's.
+func scanRange(gi *table.GroupIndex, cols []*table.Column, lo, hi int) *stats.Collector {
 	c := stats.NewCollector(gi.NumStrata(), len(cols))
-	vals := make([]float64, len(cols))
-	for r := lo; r < hi; r++ {
-		for i, col := range cols {
-			vals[i] = col.Numeric(r)
+	ids := gi.RowID[lo:hi]
+	for j, col := range cols {
+		if col.Spec.Kind == table.Float {
+			for k, x := range col.Float[lo:hi] {
+				c.Group(int(ids[k])).Cols[j].Add(x)
+			}
+			continue
 		}
-		if err := c.Observe(int(gi.RowID[r]), vals); err != nil {
-			return nil, err
+		for k, id := range ids { // Int: aggColumns admits no other kind
+			c.Group(int(id)).Cols[j].Add(col.Numeric(lo + k))
 		}
 	}
-	return c, nil
+	return c
 }

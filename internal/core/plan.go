@@ -46,13 +46,11 @@ func NewPlan(tbl *table.Table, queries []QuerySpec) (*Plan, error) {
 	}
 
 	// Pass 1: per-stratum statistics for every aggregation column. Large
-	// tables are scanned by parallel workers over row ranges whose
-	// per-stratum summaries merge exactly (Welford/Chan), so the result
-	// is identical to a sequential scan.
-	collector, err := collectStats(gi, aggs)
-	if err != nil {
-		return nil, err
-	}
+	// tables are scanned by parallel workers over fixed-size row chunks
+	// whose per-stratum summaries merge (Welford/Chan) in chunk order, so
+	// the result is the same bits on every host, and equals a sequential
+	// scan's up to float rounding.
+	collector := collectStats(gi, aggs)
 	st.grouper = gi.Grouper()
 	st.groups = make([]*stats.GroupStats, gi.NumStrata())
 	for c := range st.groups {

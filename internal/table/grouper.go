@@ -46,9 +46,18 @@ type Grouper struct {
 	joinm  map[string]int32 // gmJoin
 	keybuf []byte           // gmBytes: 8 bytes per column
 	batch  []int32          // AssignRange's row-id scratch
+	box    []boxDim         // AssignRange's code box, one entry per column
 
 	keys  []GroupKey // per gid: rendered key parts
 	first []int32    // per gid: the row that created the group
+}
+
+// boxDim is one column's axis of a row range's code box: a row's
+// coordinate is its dictionary code (String) or its value minus the
+// range's minimum (Int), and its cell is Σ coordinate·stride.
+type boxDim struct {
+	min    int64 // Int: the range's smallest value; String: 0
+	stride int32
 }
 
 // NewGrouper binds a grouper to the named columns of tbl. String
@@ -198,10 +207,16 @@ func (g *Grouper) Assign(rows, gids []int32) {
 }
 
 // AssignRange assigns the contiguous rows [lo, hi): gids[i] receives the
-// group of row lo+i.
+// group of row lo+i, exactly as Assign would give it. A range whose code
+// box is small enough goes through a dense memo (assignBoxed), any other
+// through Assign in batches.
 func (g *Grouper) AssignRange(lo, hi int, gids []int32) {
 	if g.batch == nil {
 		g.batch = make([]int32, assignBatch)
+		g.box = make([]boxDim, len(g.cols))
+	}
+	if g.assignBoxed(lo, hi, gids) {
+		return
 	}
 	for start := lo; start < hi; start += assignBatch {
 		n := min(hi-start, assignBatch)
@@ -210,6 +225,83 @@ func (g *Grouper) AssignRange(lo, hi int, gids []int32) {
 		}
 		g.Assign(g.batch[:n], gids[start-lo:])
 	}
+}
+
+// assignBoxed is AssignRange over a dense memo, for the map-keyed
+// strategies. The range's code box has one axis per column: a String
+// column's dictionary size, an Int column's max−min+1 over the range.
+// When the box has at most hi−lo cells, every row's mixed-radix cell
+// indexes a memo of gid+1 (0 = unseen): a hit writes the cached gid, a
+// miss sends that one row through Assign — which alone decides group
+// identity and creates groups — and caches its answer. So the result is
+// Assign's, row for row, at one Assign per distinct code tuple. Otherwise
+// it reports false, having assigned nothing.
+func (g *Grouper) assignBoxed(lo, hi int, gids []int32) bool {
+	n := hi - lo
+	if n == 0 || g.mode == gmGlobal || g.mode == gmDense {
+		return false
+	}
+	// cells·radix ≤ n, tested without overflow; dictionary sizes first,
+	// so a box that cannot fit is declined before any scan
+	cells := 1
+	fits := func(radix uint64) bool {
+		if radix > uint64(n/cells) {
+			return false
+		}
+		cells *= int(radix)
+		return true
+	}
+	for i, c := range g.cols {
+		if c.Spec.Kind == String {
+			g.box[i] = boxDim{stride: int32(cells)}
+			if !fits(uint64(c.Dict.Len())) {
+				return false
+			}
+		}
+	}
+	for i, c := range g.cols {
+		if c.Spec.Kind == Int {
+			vals := c.Int[lo:hi]
+			vmin, vmax := vals[0], vals[0]
+			for _, v := range vals {
+				vmin, vmax = min(vmin, v), max(vmax, v)
+			}
+			g.box[i] = boxDim{min: vmin, stride: int32(cells)}
+			// the span cannot wrap in uint64, span+1 can: compare the span
+			if span := uint64(vmax) - uint64(vmin); span >= uint64(n) || !fits(span+1) {
+				return false
+			}
+		}
+	}
+
+	// every row's cell, accumulated one column at a time in gids; cells
+	// ≤ n ≤ MaxInt32, so no partial sum overflows
+	cell := gids[:n]
+	clear(cell)
+	for i, c := range g.cols {
+		d := g.box[i]
+		if c.Spec.Kind == String {
+			for k, code := range c.Str[lo:hi] {
+				cell[k] += code * d.stride
+			}
+		} else {
+			for k, v := range c.Int[lo:hi] {
+				cell[k] += int32(v-d.min) * d.stride
+			}
+		}
+	}
+	memo := make([]int32, cells)
+	for k, x := range cell {
+		id := memo[x]
+		if id == 0 {
+			g.batch[0] = int32(lo + k)
+			g.Assign(g.batch[:1], gids[k:k+1])
+			id = gids[k] + 1
+			memo[x] = id
+		}
+		gids[k] = id - 1
+	}
+	return true
 }
 
 // NumGroups returns the number of groups created so far.

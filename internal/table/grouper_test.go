@@ -7,6 +7,7 @@ package table_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -57,6 +58,21 @@ func checkAgainstRef(t *testing.T, g *table.Grouper, ref *refGrouper, rows []int
 	t.Helper()
 	got := make([]int32, len(rows))
 	g.Assign(rows, got)
+	compareWithRef(t, g, ref, rows, got)
+}
+
+// checkRangeAgainstRef is checkAgainstRef through AssignRange(lo, hi).
+func checkRangeAgainstRef(t *testing.T, g *table.Grouper, ref *refGrouper, lo, hi int) {
+	t.Helper()
+	got := make([]int32, hi-lo)
+	g.AssignRange(lo, hi, got)
+	compareWithRef(t, g, ref, rowSpan(lo, hi), got)
+}
+
+// compareWithRef checks that got holds the reference's ids for rows and
+// that both agree on the group count and every rendered key.
+func compareWithRef(t *testing.T, g *table.Grouper, ref *refGrouper, rows, got []int32) {
+	t.Helper()
 	if want := ref.assign(rows); !slices.Equal(got, want) {
 		t.Fatalf("group ids differ from the reference")
 	}
@@ -70,10 +86,13 @@ func checkAgainstRef(t *testing.T, g *table.Grouper, ref *refGrouper, rows []int
 	}
 }
 
-func allRows(tbl *table.Table) []int32 {
-	rows := make([]int32, tbl.NumRows())
+func allRows(tbl *table.Table) []int32 { return rowSpan(0, tbl.NumRows()) }
+
+// rowSpan returns the row ids lo, lo+1, …, hi−1.
+func rowSpan(lo, hi int) []int32 {
+	rows := make([]int32, hi-lo)
 	for i := range rows {
-		rows[i] = int32(i)
+		rows[i] = int32(lo + i)
 	}
 	return rows
 }
@@ -176,30 +195,153 @@ func TestGrouperMatchesStringKeyedReference(t *testing.T) {
 }
 
 // A bound grouper keeps assigning as its table grows: new dictionary
-// codes and new int values extend the same id space.
+// codes and new int values extend the same id space, whether the new
+// rows arrive through Assign or, as the stream sampler feeds them,
+// through 1024-row AssignRange batches (whose code boxes are small
+// enough for the memo, and grow with the table).
 func TestGrouperFollowsGrowingTable(t *testing.T) {
 	for _, attrs := range [][]string{{"s"}, {"i"}, {"s", "i"}} {
 		tbl := table.New("grow", table.Schema{{Name: "s", Kind: table.String}, {Name: "i", Kind: table.Int}})
-		g, err := table.NewGrouper(tbl, attrs) // bound while the table is still empty
+		// both bound while the table is still empty
+		byRows, err := table.NewGrouper(tbl, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := newRef(tbl, attrs)
+		byRange, err := table.NewGrouper(tbl, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowsRef, rangeRef := newRef(tbl, attrs), newRef(tbl, attrs)
 		lo := 0
 		for round := 0; round < 4; round++ {
-			for r := 0; r < 500; r++ {
+			for r := 0; r < 1500; r++ {
 				// each round brings values the previous ones never saw
 				if err := tbl.AppendRow(fmt.Sprintf("v%d", (r*7)%(3+5*round)), int64((r*11)%(2+4*round)-round)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			rows := allRows(tbl)[lo:]
-			checkAgainstRef(t, g, ref, rows)
-			lo = tbl.NumRows()
+			checkAgainstRef(t, byRows, rowsRef, rowSpan(lo, tbl.NumRows()))
+			for ; lo < tbl.NumRows(); lo += 1024 {
+				checkRangeAgainstRef(t, byRange, rangeRef, lo, min(lo+1024, tbl.NumRows()))
+			}
 		}
-		if g.NumGroups() < 10 {
-			t.Fatalf("%v: only %d groups — the table did not grow new values", attrs, g.NumGroups())
+		if byRows.NumGroups() < 10 {
+			t.Fatalf("%v: only %d groups — the table did not grow new values", attrs, byRows.NumGroups())
 		}
+	}
+}
+
+// AssignRange's memo: taken when the range's code box has at most as
+// many cells as the range has rows, declined otherwise, and either way
+// the same ids, groups and keys as the reference.
+func TestGrouperAssignRangeMemo(t *testing.T) {
+	schema := table.Schema{{Name: "s", Kind: table.String}, {Name: "u", Kind: table.String}, {Name: "i", Kind: table.Int}}
+	build := func(n int, row func(r int) (string, string, int64)) *table.Table {
+		tbl := table.New("memo", schema)
+		for r := 0; r < n; r++ {
+			s, u, i := row(r)
+			if err := tbl.AppendRow(s, u, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tbl
+	}
+	rng := rand.New(rand.NewSource(4))
+	strs := []string{"a", "", "a\x00", "\x00b", "b", "a|b", "|"}
+	cases := []struct {
+		name  string
+		tbl   *table.Table
+		attrs []string
+		lo    int  // the range is [lo, NumRows)
+		taken bool // whether the memo must be taken
+		prior int  // rows first assigned through Assign, shuffled
+	}{
+		{"taken", build(2000, func(r int) (string, string, int64) {
+			return fmt.Sprint(rng.Intn(9)), "x", int64(rng.Intn(20) - 10)
+		}), []string{"s", "i"}, 0, true, 0},
+		{"declined", build(2000, func(r int) (string, string, int64) {
+			return fmt.Sprint(rng.Intn(9)), "x", int64(rng.Intn(20) * 1000)
+		}), []string{"s", "i"}, 0, false, 0},
+		{"declined by dictionaries", build(2000, func(r int) (string, string, int64) {
+			return fmt.Sprint(r % 50), fmt.Sprint(r % 41), 0
+		}), []string{"s", "u", "i"}, 0, false, 0},
+		{"earlier groups keep their ids", build(3000, func(r int) (string, string, int64) {
+			return fmt.Sprint(rng.Intn(12)), "x", int64(rng.Intn(30))
+		}), []string{"i", "s"}, 0, true, 1500},
+		{"sub-range", build(3000, func(r int) (string, string, int64) {
+			return fmt.Sprint(rng.Intn(12)), fmt.Sprint(r / 1000), int64(rng.Intn(30) + r/1000)
+		}), []string{"s", "u", "i"}, 1700, true, 0},
+		{"int extremes", build(1000, func(r int) (string, string, int64) {
+			return "x", "y", []int64{math.MinInt64, math.MaxInt64, 0, -1}[rng.Intn(4)]
+		}), []string{"i"}, 0, false, 0},
+		{"int near the minimum", build(1000, func(r int) (string, string, int64) {
+			return fmt.Sprint(r % 3), "y", math.MinInt64 + int64(rng.Intn(5))
+		}), []string{"s", "i"}, 0, true, 0},
+		{"int near the maximum", build(1000, func(r int) (string, string, int64) {
+			return "x", "y", math.MaxInt64 - int64(rng.Intn(5))
+		}), []string{"i"}, 0, true, 0},
+		{"NUL-joined tuples share a gid", build(3000, func(r int) (string, string, int64) {
+			return strs[rng.Intn(len(strs))], strs[rng.Intn(len(strs))], 0
+		}), []string{"s", "u"}, 0, true, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.tbl.NumRows()
+			probe, err := table.NewGrouper(tc.tbl, tc.attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if taken := probe.AssignBoxed(tc.lo, n, make([]int32, n-tc.lo)); taken != tc.taken {
+				t.Fatalf("memo taken = %v, want %v", taken, tc.taken)
+			}
+			g, err := table.NewGrouper(tc.tbl, tc.attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRef(tc.tbl, tc.attrs)
+			if tc.prior > 0 {
+				prior := rowSpan(0, tc.prior)
+				rng.Shuffle(len(prior), func(i, j int) { prior[i], prior[j] = prior[j], prior[i] })
+				checkAgainstRef(t, g, ref, prior)
+			}
+			checkRangeAgainstRef(t, g, ref, tc.lo, n)
+		})
+	}
+	// the NUL case really merges: fewer groups than distinct code tuples
+	tbl := cases[len(cases)-1].tbl
+	tuples := map[[2]int32]bool{}
+	for r := range tbl.NumRows() {
+		tuples[[2]int32{tbl.Column("s").Str[r], tbl.Column("u").Str[r]}] = true
+	}
+	g, err := table.NewGrouper(tbl, []string{"s", "u"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AssignRange(0, tbl.NumRows(), make([]int32, tbl.NumRows()))
+	if g.NumGroups() >= len(tuples) {
+		t.Fatalf("%d groups from %d code tuples: no NUL-joined tuples merged", g.NumGroups(), len(tuples))
+	}
+}
+
+// The memo must be taken on the stratification the paper builds at
+// scale, the OpenAQ (country, parameter, year, month) one — a silent
+// decline would leave the index build on the map path.
+func TestGrouperMemoTakenOnOpenAQ(t *testing.T) {
+	tbl, err := datagen.OpenAQ(datagen.OpenAQConfig{Rows: 20000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := []string{"country", "parameter", "year", "month"}
+	g, err := table.NewGrouper(tbl, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int32, tbl.NumRows())
+	if !g.AssignBoxed(0, tbl.NumRows(), got) {
+		t.Fatal("memo declined on the OpenAQ stratification")
+	}
+	if !slices.Equal(got, newRef(tbl, attrs).assign(allRows(tbl))) {
+		t.Fatal("memo ids differ from the reference")
 	}
 }
 
@@ -210,5 +352,44 @@ func TestNewGrouperErrors(t *testing.T) {
 	}
 	if _, err := table.NewGrouper(tbl, []string{"s", "f"}); err == nil {
 		t.Fatal("float attribute should be rejected")
+	}
+}
+
+// BenchmarkBuildGroupIndex times the stratification index over 200 k
+// rows twice: on the OpenAQ (country, parameter, year, month)
+// stratification, whose code box takes AssignRange's memo, and on a
+// high-cardinality Int key (20 k values spread over 2·10^10), whose box
+// is far bigger than the table, so every row takes the map path.
+func BenchmarkBuildGroupIndex(b *testing.B) {
+	const rows = 200_000
+	openaq, err := datagen.OpenAQ(datagen.OpenAQConfig{Rows: rows, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spread := table.New("spread", table.Schema{{Name: "s", Kind: table.String}, {Name: "k", Kind: table.Int}})
+	spread.Grow(rows)
+	rng := rand.New(rand.NewSource(5))
+	for r := 0; r < rows; r++ {
+		k := rng.Intn(20_000)
+		if err := spread.AppendRow(fmt.Sprint(k%38), int64(k)*1_000_003); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		tbl   *table.Table
+		attrs []string
+	}{
+		{"memo", openaq, []string{"country", "parameter", "year", "month"}},
+		{"map", spread, []string{"s", "k"}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := table.BuildGroupIndex(bc.tbl, bc.attrs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }
