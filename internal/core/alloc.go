@@ -23,32 +23,43 @@ func powerAllocation(alphas []float64, m float64, exp float64) ([]float64, error
 	if m < 0 {
 		return nil, fmt.Errorf("core: negative budget %v", m)
 	}
-	out := make([]float64, len(alphas))
+	pow, total, err := powers(alphas, exp)
+	if err != nil {
+		return nil, err
+	}
+	return scaleShares(pow, total, m), nil
+}
+
+// powers validates the αs and returns α_i^exp with their sum in index
+// order: the half of powerAllocation that does not depend on the budget.
+func powers(alphas []float64, exp float64) ([]float64, float64, error) {
+	pow := make([]float64, len(alphas))
 	var total float64
 	for i, a := range alphas {
 		if a < 0 || math.IsNaN(a) {
-			return nil, fmt.Errorf("core: invalid alpha[%d] = %v", i, a)
+			return nil, 0, fmt.Errorf("core: invalid alpha[%d] = %v", i, a)
 		}
 		if math.IsInf(a, 1) {
-			return nil, fmt.Errorf("core: infinite alpha[%d]", i)
+			return nil, 0, fmt.Errorf("core: infinite alpha[%d]", i)
 		}
-		out[i] = math.Pow(a, exp)
-		total += out[i]
+		pow[i] = math.Pow(a, exp)
+		total += pow[i]
 	}
-	if total == 0 {
-		// degenerate: all groups have zero relative variance; split evenly.
-		if len(out) > 0 {
-			even := m / float64(len(out))
-			for i := range out {
-				out[i] = even
-			}
+	return pow, total, nil
+}
+
+// scaleShares is the other half: the real allocation m·pow_i/total.
+func scaleShares(pow []float64, total, m float64) []float64 {
+	out := make([]float64, len(pow))
+	for i, p := range pow {
+		if total == 0 {
+			// degenerate: all groups have zero relative variance; split evenly.
+			out[i] = m / float64(len(out))
+		} else {
+			out[i] = m * p / total
 		}
-		return out, nil
 	}
-	for i := range out {
-		out[i] = m * out[i] / total
-	}
-	return out, nil
+	return out
 }
 
 // RoundAllocation converts a real-valued allocation into integers that
@@ -57,7 +68,9 @@ func powerAllocation(alphas []float64, m float64, exp float64) ([]float64, error
 // minPer rows, and (d) redistribute budget freed by caps to the remaining
 // strata in proportion to their real allocation (water-filling). This is
 // the "repair" step that lets CVOPT handle small groups that RL breaks
-// on (Section 6.1).
+// on (Section 6.1). Rounding hands the rows left after flooring to the
+// strata below their cap with the largest fractional parts; ties go to
+// the lower stratum index.
 func RoundAllocation(real []float64, caps []int64, m int, minPer int) ([]int, error) {
 	if len(real) != len(caps) {
 		return nil, fmt.Errorf("core: %d allocations vs %d caps", len(real), len(caps))
@@ -128,12 +141,10 @@ func RoundAllocation(real []float64, caps []int64, m int, minPer int) ([]int, er
 		}
 	}
 
-	// Largest-remainder rounding within caps.
-	type rem struct {
-		i int
-		f float64
-	}
-	rems := make([]rem, 0, n)
+	// Largest-remainder rounding within caps: one more row each for the
+	// m−used strata still below their cap that come first in rounding
+	// order. Selecting them is O(strata); no sort is needed.
+	rems := make([]remainder, 0, n)
 	used := 0
 	for i, s := range share {
 		fl := math.Floor(s)
@@ -142,17 +153,16 @@ func RoundAllocation(real []float64, caps []int64, m int, minPer int) ([]int, er
 		}
 		out[i] = int(fl)
 		used += out[i]
-		rems = append(rems, rem{i, s - fl})
+		if int64(out[i]) < caps[i] {
+			rems = append(rems, remainder{i, s - fl})
+		}
 	}
-	slices.SortFunc(rems, func(a, b rem) int { return cmp.Compare(b.f, a.f) })
-	for _, r := range rems {
-		if used >= m {
-			break
-		}
-		if int64(out[r.i]) < caps[r.i] {
+	if k := min(m-used, len(rems)); k > 0 {
+		selectFirst(rems, k)
+		for _, r := range rems[:k] {
 			out[r.i]++
-			used++
 		}
+		used += k
 	}
 	// Any residual budget (possible when many strata hit caps mid-round)
 	// goes to uncapped strata in descending real-share order.
@@ -214,6 +224,64 @@ func RoundAllocation(real []float64, caps []int64, m int, minPer int) ([]int, er
 		}
 	}
 	return out, nil
+}
+
+// remainder is stratum i's fractional share f after flooring.
+type remainder struct {
+	i int
+	f float64
+}
+
+// before is the rounding order: the larger fractional part first, the
+// lower stratum index among equals.
+func before(a, b remainder) bool {
+	if c := cmp.Compare(a.f, b.f); c != 0 {
+		return c > 0
+	}
+	return a.i < b.i
+}
+
+// selectFirst reorders rs so that rs[:k] holds the k entries that come
+// first in rounding order, in no particular order among themselves:
+// quickselect with a median-of-three pivot, expected O(len(rs)).
+func selectFirst(rs []remainder, k int) {
+	// invariant: every entry of rs[:lo] comes before every entry of
+	// rs[lo:], every entry of rs[:hi] before every entry of rs[hi:], and
+	// lo ≤ k ≤ hi
+	lo, hi := 0, len(rs)
+	for lo < k && k < hi {
+		last := hi - 1
+		piv := medianOf3(rs, lo, lo+(hi-lo)/2, last)
+		rs[piv], rs[last] = rs[last], rs[piv]
+		p := lo
+		for j := lo; j < last; j++ {
+			if before(rs[j], rs[last]) {
+				rs[p], rs[j] = rs[j], rs[p]
+				p++
+			}
+		}
+		rs[p], rs[last] = rs[last], rs[p]
+		if k <= p {
+			hi = p
+		} else {
+			lo = p + 1
+		}
+	}
+}
+
+// medianOf3 returns whichever of a, b and c holds the middle entry in
+// rounding order.
+func medianOf3(rs []remainder, a, b, c int) int {
+	if before(rs[b], rs[a]) {
+		a, b = b, a
+	}
+	if !before(rs[c], rs[b]) {
+		return b
+	}
+	if before(rs[c], rs[a]) {
+		return a
+	}
+	return c
 }
 
 // donors is a max-heap of the strata allocated strictly above the floor,

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -362,9 +364,10 @@ func TestOptionsMinPerStratum(t *testing.T) {
 }
 
 // roundAllocationRef is RoundAllocation as first written: the same
-// water-filling and largest-remainder rounding, with a linear argmax scan
-// per stolen row in the min-per-stratum repair. It is the oracle the
-// heap-based repair must match bit for bit.
+// water-filling, largest-remainder rounding by a stable sort of every
+// remainder (so ties go to the lower index), and a linear argmax scan per
+// stolen row in the min-per-stratum repair. It is the oracle the
+// selection and the heap-based repair must match bit for bit.
 func roundAllocationRef(real []float64, caps []int64, m int, minPer int) []int {
 	n := len(real)
 	out := make([]int, n)
@@ -437,7 +440,7 @@ func roundAllocationRef(real []float64, caps []int64, m int, minPer int) []int {
 		used += out[i]
 		rems = append(rems, rem{i, s - fl})
 	}
-	sort.Slice(rems, func(a, b int) bool { return rems[a].f > rems[b].f })
+	slices.SortStableFunc(rems, func(a, b rem) int { return cmp.Compare(b.f, a.f) })
 	for _, r := range rems {
 		if used >= m {
 			break
@@ -548,6 +551,50 @@ func TestRoundAllocationMatchesReference(t *testing.T) {
 	}
 }
 
+// Rows left after flooring go to the largest fractional parts, and among
+// equal ones to the lower stratum index — however many strata tie, and
+// also when every share is zero.
+func TestRoundAllocationTiesLowestIndexFirst(t *testing.T) {
+	// 25 strata at .75, 50 at .5, 25 at .25, summing to the budget: 200
+	// rows floor, the .75s take 25 more and the first 25 .5s the rest
+	const n = 100
+	real := make([]float64, n)
+	caps := make([]int64, n)
+	want := make([]int, n)
+	halves := 0
+	for i := range real {
+		caps[i] = 10
+		real[i], want[i] = 2.5, 2
+		switch i % 4 {
+		case 0:
+			real[i], want[i] = 2.75, 3
+		case 3:
+			real[i] = 2.25
+		default:
+			if halves < 25 {
+				want[i] = 3
+			}
+			halves++
+		}
+	}
+	got, err := RoundAllocation(real, caps, 250, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("RoundAllocation = %v, want %v", got, want)
+	}
+
+	// all-zero shares: every remainder ties at 0
+	got, err = RoundAllocation(make([]float64, 50), slices.Repeat([]int64{3}, 50), 20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(slices.Repeat([]int{1}, 20), make([]int, 30)...); !slices.Equal(got, want) {
+		t.Fatalf("zero shares: RoundAllocation = %v, want %v", got, want)
+	}
+}
+
 // openAQPlan is the paper_build workload of the end-to-end benchmark over
 // a rows-row OpenAQ table: the monthly per-(country, parameter) series of
 // value and the per-(country, parameter) summary of value and latitude.
@@ -590,6 +637,150 @@ func TestRoundAllocationMatchesReferenceAtPlanScale(t *testing.T) {
 		}
 		if m == total {
 			break
+		}
+	}
+}
+
+// allocateRef is Allocate before β's roots were cached: every call raises
+// β to its power afresh, and rounding sorts.
+func allocateRef(st *strata, m int, opts Options) ([]int, error) {
+	var real []float64
+	var err error
+	switch opts.Norm {
+	case L2:
+		real, err = powerAllocation(st.betas, float64(m), 0.5)
+	case Lp:
+		real, err = powerAllocation(st.betas, float64(m), opts.P/(opts.P+2))
+	case LInf:
+		real, err = st.infShares(m)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return roundAllocationRef(real, st.caps, m, opts.minPerStratum()), nil
+}
+
+// predictedCVsRef is the Section 4.1 walk before its terms were hoisted:
+// every estimate looks up each member stratum's σ², n and its own weight
+// afresh.
+func predictedCVsRef(st *strata, alloc []int) []EstimateCV {
+	var out []EstimateCV
+	for qi, pr := range st.proj {
+		for a, key := range pr.keys {
+			na := float64(pr.stats[a].N())
+			if na == 0 {
+				continue
+			}
+			for _, ac := range st.Queries[qi].Aggs {
+				pos := st.aggColPos[ac.Column]
+				mu := pr.stats[a].Cols[pos].Mean
+				var varY float64
+				undefined := false
+				for _, c := range pr.members[a] {
+					sigma2 := st.groups[c].Cols[pos].Variance()
+					if sigma2 == 0 {
+						continue
+					}
+					s := float64(alloc[c])
+					if s <= 0 {
+						undefined = true
+						break
+					}
+					n := float64(st.groups[c].N())
+					varY += (n*n*sigma2/s - n*sigma2) / (na * na)
+				}
+				cv := math.Inf(1)
+				switch {
+				case undefined:
+				case mu == 0 && varY == 0:
+					cv = 0
+				case mu != 0:
+					cv = math.Sqrt(math.Max(varY, 0)) / math.Abs(mu)
+				}
+				out = append(out, EstimateCV{Query: qi, Group: key.String(), Column: ac.Column, CV: cv, Weight: ac.weightFor(key.String())})
+			}
+		}
+	}
+	return out
+}
+
+// An autoscale probe is what it was before its shares were cached, its
+// rounding stopped sorting and its variance terms were hoisted: over a
+// budget sweep of the paper_build plan under ℓ2, ℓp, a floor of 2 and
+// (single query) ℓ∞, Allocate equals the sort-based reference and
+// WorstCV and PredictedCVs equal the member walk bit for bit; and
+// Autoscale chooses the budgets, with the evaluations and CV bits,
+// recorded before any of the three.
+func TestAutoscaleProbeMatchesReferencesAtPlanScale(t *testing.T) {
+	p := openAQPlan(t, 300_000)
+	single, err := NewPlan(p.Table, p.Queries[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := p.Table.NumRows()
+	for _, c := range []struct {
+		p    *Plan
+		opts Options
+	}{{p, Options{}}, {p, Options{Norm: Lp, P: 3}}, {p, Options{MinPerStratum: 2}}, {single, Options{Norm: LInf}}} {
+		for m := 1; ; m = 2*m + 1 {
+			m = min(m, total)
+			got, err := c.p.Allocate(m, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := allocateRef(&c.p.strata, m, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v, budget %d: Allocate differs from the reference", c.opts, m)
+			}
+			ref := predictedCVsRef(&c.p.strata, got)
+			worst := 0.0
+			for _, e := range ref {
+				if e.Weight > 0 {
+					worst = max(worst, e.CV)
+				}
+			}
+			if w := c.p.WorstCV(got); math.Float64bits(w) != math.Float64bits(worst) {
+				t.Fatalf("%+v, budget %d: WorstCV %v, reference %v", c.opts, m, w, worst)
+			}
+			cvs := c.p.PredictedCVs(got)
+			if len(cvs) != len(ref) {
+				t.Fatalf("%+v, budget %d: %d estimates, reference %d", c.opts, m, len(cvs), len(ref))
+			}
+			for i, e := range cvs {
+				r := ref[i]
+				if e.Query != r.Query || e.Group != r.Group || e.Column != r.Column ||
+					math.Float64bits(e.CV) != math.Float64bits(r.CV) || math.Float64bits(e.Weight) != math.Float64bits(r.Weight) {
+					t.Fatalf("%+v, budget %d, estimate %d: %+v, reference %+v", c.opts, m, i, e, r)
+				}
+			}
+			if m == total {
+				break
+			}
+		}
+	}
+
+	for _, pin := range []struct {
+		target        float64
+		budget, evals int
+		cv            uint64
+	}{
+		{0.05, 236137, 36, 0x3fa99890ea0b1dec},
+		{0.1, 195487, 36, 0x3fb96ce80ebabe91},
+		{0.2, 132187, 36, 0x3fc9319c2177f7ee},
+		{0.205, 128646, 34, 0x3fca09068333ede6},
+		{0.21, 126706, 34, 0x3fca7945c208c74f},
+		{0.5, 58385, 32, 0x3fdfd029b266e2f7},
+	} {
+		res, err := p.Autoscale(AutoscaleParams{TargetCV: pin.target})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Budget != pin.budget || res.Evaluations != pin.evals || math.Float64bits(res.AchievedCV) != pin.cv || !res.Met {
+			t.Fatalf("target %v: budget %d in %d evaluations, CV bits %#x, met %v; want %d in %d, %#x, met",
+				pin.target, res.Budget, res.Evaluations, math.Float64bits(res.AchievedCV), res.Met, pin.budget, pin.evals, pin.cv)
 		}
 	}
 }

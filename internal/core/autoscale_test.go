@@ -266,3 +266,16 @@ func BenchmarkAutoscale(b *testing.B) {
 	}
 	b.ReportMetric(float64(evals), "evals/op")
 }
+
+// BenchmarkAllocate times the allocation half of one ℓ2 probe of that
+// search, at the budget it settles on: shares, water-filling,
+// largest-remainder rounding and the min-per-stratum repair.
+func BenchmarkAllocate(b *testing.B) {
+	p := openAQPlan(b, 300_000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Allocate(132_187, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

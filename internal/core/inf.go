@@ -15,14 +15,14 @@ import (
 //
 //	Σ_i  (q·d_i/D)/(1 + q·d_i/D) · n_i  ≤  M,
 //
-// then assigns s_i = x_i/Σx_j · M (rounded within caps). Total time is
-// O(r log n), matching the paper.
+// then assigns s_i = x_i/Σx_j · M, which Allocate rounds within caps.
+// Total time is O(r log n), matching the paper.
 //
 // The paper defines CVOPT-INF for a single group-by clause; with several
 // aggregation columns the per-group CV is the worst CV across that
 // group's aggregates, a conservative and natural extension. Multiple
 // group-by queries are rejected.
-func (st *strata) allocateInf(m int, opts Options) ([]int, error) {
+func (st *strata) infShares(m int) ([]float64, error) {
 	if len(st.Queries) != 1 {
 		return nil, fmt.Errorf("core: CVOPT-INF supports a single group-by query (got %d); the paper defines the ℓ∞ algorithm for SASG", len(st.Queries))
 	}
@@ -68,7 +68,7 @@ func (st *strata) allocateInf(m int, opts Options) ([]int, error) {
 		for i := range real {
 			real[i] = even
 		}
-		return RoundAllocation(real, st.caps, m, opts.minPerStratum())
+		return real, nil
 	}
 
 	// x_i(q) as in the paper; S(q) = Σ x_i(q) is increasing in q. The
@@ -105,10 +105,10 @@ func (st *strata) allocateInf(m int, opts Options) ([]int, error) {
 	if sum <= 0 {
 		return nil, fmt.Errorf("core: CVOPT-INF degenerate allocation (q=%d)", qv)
 	}
-	// Scale to the budget and round within caps (the paper's
-	// s_i = ceil(x_i/Σx_j · M), with cap/repair as in RoundAllocation).
+	// Scale to the budget (the paper's s_i = ceil(x_i/Σx_j · M), with
+	// cap/repair as in RoundAllocation).
 	for i := range x {
 		x[i] = x[i] / sum * float64(m)
 	}
-	return RoundAllocation(x, st.caps, m, opts.minPerStratum())
+	return x, nil
 }

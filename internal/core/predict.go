@@ -33,43 +33,36 @@ func (st *strata) PredictedCVs(alloc []int) []EstimateCV {
 
 // eachCV is the one Section 4.1 walk: it hands visit the predicted CV and
 // the weight of estimate (query qi, coarse group a, aggregate k), in
-// query, group, aggregate order. It allocates nothing itself.
+// query, group, aggregate order. It allocates nothing itself, and does
+// O(1) work per estimate and per variance term: everything but the
+// allocation was hoisted into the estimates by view.
 func (st *strata) eachCV(alloc []int, visit func(qi, a, k int, cv, w float64)) {
 	for qi, pr := range st.view() {
-		aggs := st.Queries[qi].Aggs
-		for a := range pr.keys {
-			na := float64(pr.stats[a].N())
-			if na == 0 {
-				continue
+		nk := len(st.Queries[qi].Aggs)
+		for i := range pr.est {
+			e := &pr.est[i]
+			if e.na2 == 0 {
+				continue // an empty coarse group has no estimate
 			}
-			for k, ac := range aggs {
-				pos := st.aggColPos[ac.Column]
-				mu := pr.stats[a].Cols[pos].Mean
-				var varY float64
-				undefined := false
-				for _, c := range pr.members[a] {
-					sigma2 := st.groups[c].Cols[pos].Variance()
-					if sigma2 == 0 {
-						continue
-					}
-					s := float64(alloc[c])
-					if s <= 0 {
-						undefined = true
-						break
-					}
-					n := float64(st.groups[c].N())
-					varY += (n*n*sigma2/s - n*sigma2) / (na * na)
+			var varY float64
+			undefined := false
+			for _, t := range pr.terms[e.lo:e.hi] {
+				s := float64(alloc[t.c])
+				if s <= 0 {
+					undefined = true
+					break
 				}
-				cv := math.Inf(1)
-				switch {
-				case undefined:
-				case mu == 0 && varY == 0:
-					cv = 0
-				case mu != 0:
-					cv = math.Sqrt(math.Max(varY, 0)) / math.Abs(mu)
-				}
-				visit(qi, a, k, cv, pr.weights[a*len(aggs)+k])
+				varY += (t.nn2s/s - t.ns) / e.na2
 			}
+			cv := math.Inf(1)
+			switch {
+			case undefined:
+			case e.mu == 0 && varY == 0:
+				cv = 0
+			case e.mu != 0:
+				cv = math.Sqrt(math.Max(varY, 0)) / math.Abs(e.mu)
+			}
+			visit(qi, i/nk, i%nk, cv, e.w)
 		}
 	}
 }

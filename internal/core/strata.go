@@ -38,17 +38,42 @@ type strata struct {
 	proj    []projection // per query
 	betas   []float64    // per stratum: β_c, which does not depend on M
 	betaErr error        // why β is undefined (a zero-mean coarse group), or nil
+	roots   []float64    // per stratum: β_c^½, the ℓ2 shares before scaling to M
+	rootSum float64      // Σ roots in stratum order
+	rootErr error        // why β cannot be shared out (see powers), or nil
 }
 
 // projection is Π(·, A_i) for one query: where every stratum lands, which
-// strata make up every coarse group, and the coarse groups' keys, merged
-// statistics and resolved weights.
+// strata make up every coarse group, the coarse groups' keys and merged
+// statistics, and its estimates.
 type projection struct {
 	f2c     []int               // stratum -> coarse group
 	members [][]int32           // coarse group -> its strata, ascending
 	keys    []table.GroupKey    // per coarse group
 	stats   []*stats.GroupStats // per coarse group: (n_a, µ_a, σ_a) merged over members
-	weights []float64           // per (coarse group a, aggregate k of the query): at a·len(Aggs)+k
+	est     []estimate          // per (coarse group a, aggregate k of the query): at a·len(Aggs)+k
+	terms   []cvTerm            // every estimate's terms, estimate by estimate
+}
+
+// estimate is one (coarse group a, aggregate) estimate of a query with
+// everything its Section 4.1 variance
+//
+//	VAR[y_a] = Σ_c (n_c²σ_c²/s_c − n_cσ_c²) / n_a²
+//
+// needs except the allocation s: the sum runs over terms[lo:hi], one per
+// member stratum with σ_c² > 0, in ascending stratum id.
+type estimate struct {
+	mu     float64 // µ_a
+	na2    float64 // n_a²
+	w      float64 // the weight, GroupWeights resolved
+	lo, hi int
+}
+
+// cvTerm is one member stratum's share of an estimate's variance.
+type cvTerm struct {
+	c    int32   // the stratum
+	nn2s float64 // n_c²σ_c²
+	ns   float64 // n_cσ_c²
 }
 
 // analyze is the one workload analysis: it validates the queries and
@@ -107,10 +132,10 @@ func (st *strata) aggColumns(tbl *table.Table) ([]*table.Column, error) {
 	return cols, nil
 }
 
-// view returns the per-query projections, re-deriving them, the caps and
-// β first if a feeder has changed the per-stratum statistics since.
-// Coarse statistics merge member strata in ascending stratum id, so they
-// do not depend on which feeder built the model.
+// view returns the per-query projections, re-deriving them, the caps, β
+// and its roots first if a feeder has changed the per-stratum statistics
+// since. Coarse statistics merge member strata in ascending stratum id,
+// so they do not depend on which feeder built the model.
 func (st *strata) view() []projection {
 	if !st.stale {
 		return st.proj
@@ -133,19 +158,39 @@ func (st *strata) view() []projection {
 			pr.members[a] = append(pr.members[a], int32(c))
 			_ = pr.stats[a].Merge(st.groups[c]) // cannot fail: every GroupStats here has len(aggCols) columns
 		}
-		aggs := st.Queries[qi].Aggs
-		pr.weights = make([]float64, 0, len(keys)*len(aggs))
-		for _, key := range keys {
-			k := key.String()
-			for _, ac := range aggs {
-				pr.weights = append(pr.weights, ac.weightFor(k))
-			}
-		}
+		st.hoist(qi, &pr)
 		st.proj[qi] = pr
 	}
 	st.betas, st.betaErr = st.deriveBetas()
+	st.roots, st.rootSum, st.rootErr = powers(st.betas, 0.5)
 	st.stale = false
 	return st.proj
+}
+
+// hoist fills query qi's estimates and their terms from the projection's
+// members and statistics.
+func (st *strata) hoist(qi int, pr *projection) {
+	aggs := st.Queries[qi].Aggs
+	pr.est = make([]estimate, 0, len(pr.keys)*len(aggs))
+	for a, key := range pr.keys {
+		na := float64(pr.stats[a].N())
+		k := key.String()
+		for _, ac := range aggs {
+			pos := st.aggColPos[ac.Column]
+			e := estimate{mu: pr.stats[a].Cols[pos].Mean, na2: na * na, w: ac.weightFor(k), lo: len(pr.terms)}
+			for _, c := range pr.members[a] {
+				g := st.groups[c]
+				sigma2 := g.Cols[pos].Variance()
+				if sigma2 == 0 {
+					continue // a constant stratum adds no variance
+				}
+				n := float64(g.N())
+				pr.terms = append(pr.terms, cvTerm{c: c, nn2s: n * n * sigma2, ns: n * sigma2})
+			}
+			e.hi = len(pr.terms)
+			pr.est = append(pr.est, e)
+		}
+	}
 }
 
 // NumStrata returns |C|, the number of finest strata.
@@ -204,17 +249,16 @@ func (st *strata) deriveBetas() ([]float64, error) {
 			}
 			var inner float64
 			for k, ac := range aggs {
-				pos := st.aggColPos[ac.Column]
-				sigma2 := g.Cols[pos].Variance()
+				sigma2 := g.Cols[st.aggColPos[ac.Column]].Variance()
 				if sigma2 == 0 {
 					continue // constant stratum: no sampling need (paper §5)
 				}
-				mu := pr.stats[a].Cols[pos].Mean
-				if mu == 0 {
+				e := &pr.est[a*len(aggs)+k]
+				if e.mu == 0 {
 					return nil, fmt.Errorf("core: group %q has zero mean on column %q; CV undefined (paper §1 assumes non-zero means)",
 						pr.keys[a].String(), ac.Column)
 				}
-				inner += pr.weights[a*len(aggs)+k] * sigma2 / (mu * mu)
+				inner += e.w * sigma2 / (e.mu * e.mu)
 			}
 			nc := float64(g.N())
 			betas[c] += nc * nc * inner / (na * na)
@@ -232,26 +276,28 @@ func (st *strata) Allocate(m int, opts Options) ([]int, error) {
 		return nil, fmt.Errorf("core: non-positive budget %d", m)
 	}
 	st.view()
+	var real []float64
+	var err error
 	switch opts.Norm {
 	case L2, Lp:
-		if st.betaErr != nil {
+		switch {
+		case st.betaErr != nil:
 			return nil, st.betaErr
+		case opts.Norm == L2:
+			// the roots view cached: a probe raises nothing to a power
+			real, err = scaleShares(st.roots, st.rootSum, float64(m)), st.rootErr
+		case opts.P < 1:
+			return nil, fmt.Errorf("core: Lp norm requires P >= 1, got %v", opts.P)
+		default:
+			real, err = powerAllocation(st.betas, float64(m), opts.P/(opts.P+2))
 		}
-		exp := 0.5
-		if opts.Norm == Lp {
-			if opts.P < 1 {
-				return nil, fmt.Errorf("core: Lp norm requires P >= 1, got %v", opts.P)
-			}
-			exp = opts.P / (opts.P + 2)
-		}
-		real, err := powerAllocation(st.betas, float64(m), exp)
-		if err != nil {
-			return nil, err
-		}
-		return RoundAllocation(real, st.caps, m, opts.minPerStratum())
 	case LInf:
-		return st.allocateInf(m, opts)
+		real, err = st.infShares(m)
 	default:
 		return nil, fmt.Errorf("core: unknown norm %v", opts.Norm)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return RoundAllocation(real, st.caps, m, opts.minPerStratum())
 }

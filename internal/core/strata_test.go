@@ -291,6 +291,85 @@ func TestPlanIsSafeToShare(t *testing.T) {
 	}
 }
 
+// No cache is filled on first use: four goroutines probing a Plan that no
+// call has touched since NewPlan agree, and `go test -race` sees no
+// write. TestPlanIsSafeToShare warms its Plan with a sequential run
+// first, so it cannot see a lazily filled cache.
+func TestFreshPlanIsSafeToShare(t *testing.T) {
+	p := openAQPlan(t, 50_000)
+	type outcome struct {
+		l2, lp []int
+		auto   *AutoscaleResult
+	}
+	got := make([]outcome, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := &got[i]
+			if o.l2, errs[i] = p.Allocate(5_000, Options{}); errs[i] != nil {
+				return
+			}
+			if o.lp, errs[i] = p.Allocate(5_000, Options{Norm: Lp, P: 3}); errs[i] != nil {
+				return
+			}
+			o.auto, errs[i] = p.Autoscale(AutoscaleParams{TargetCV: 0.2})
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], got[0]) {
+			t.Fatalf("goroutine %d disagrees with goroutine 0", i)
+		}
+	}
+}
+
+// The hoisted variance terms belong to the projections too: a stream that
+// observes more rows between two Autoscale calls searches, and predicts,
+// over the new statistics, exactly as a fresh sampler over the same rows.
+func TestStreamRebuildsHoistedTermsBetweenAutoscales(t *testing.T) {
+	p := randomPlanCase(t, rand.New(rand.NewSource(34)))
+	n := p.Table.NumRows()
+	s, err := NewStreamSampler(p.Queries, 1000, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := AutoscaleParams{TargetCV: 0.05}
+	if err := s.Observe(p.Table, 0, n/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Autoscale(params); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Observe(p.Table, n/2, n); err != nil {
+		t.Fatal(err)
+	}
+	fresh := streamOf(t, p, 1000)
+	got, err := s.Autoscale(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Autoscale(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Fatalf("autoscale after more rows %+v, fresh sampler %+v", got, want)
+	}
+	alloc, err := fresh.Allocate(want.Budget, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.PredictedCVs(alloc), fresh.PredictedCVs(alloc)) {
+		t.Fatal("predicted CVs after more rows differ from a fresh sampler's")
+	}
+}
+
 // The cached β belongs to the projections: rows a StreamSampler observes
 // after a Finalize re-derive it, so the next Finalize allocates exactly
 // as a fresh sampler over the same rows does.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/ingest"
+	"repro/internal/table"
 )
 
 func TestConfigSizingValidation(t *testing.T) {
@@ -147,5 +148,42 @@ func TestAutoscaledStreamGuaranteeDescribesTheSample(t *testing.T) {
 				t.Errorf("published budget %d, sample holds %d rows", pub.Budget, len(pub.Sample.Rows))
 			}
 		})
+	}
+}
+
+// BenchmarkStreamRefreshTargetCV times one refresh of a target_cv stream
+// seeded with 200 k OpenAQ rows, stratified like the end-to-end
+// benchmark's live table (~3 k strata): the 100 rows appended before each
+// refresh leave the strata model stale, so the refresh re-derives it,
+// re-runs the budget search over it and redraws the sample.
+func BenchmarkStreamRefreshTargetCV(b *testing.B) {
+	tbl, err := datagen.OpenAQ(datagen.OpenAQConfig{Rows: 200_000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := []core.QuerySpec{{GroupBy: []string{"country", "parameter", "month"}, Aggs: []core.AggColumn{{Column: "value"}}}}
+	s, err := ingest.New(tbl, ingest.Config{Queries: queries, TargetCV: 0.2, Paused: true}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	batch := make([][]any, 100)
+	for r := range batch {
+		for _, c := range tbl.Columns {
+			if c.Spec.Kind == table.String {
+				batch[r] = append(batch[r], c.StringAt(r))
+			} else {
+				batch[r] = append(batch[r], c.Numeric(r))
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Append(batch); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Refresh(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

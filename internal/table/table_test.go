@@ -403,18 +403,3 @@ func TestSnapshotIsolatedFromLaterAppends(t *testing.T) {
 		t.Fatal("snapshot reads returned nothing")
 	}
 }
-
-func BenchmarkBuildGroupIndex(b *testing.B) {
-	tbl := New("b", Schema{{Name: "g", Kind: String}, {Name: "v", Kind: Float}})
-	for i := 0; i < 100000; i++ {
-		if err := tbl.AppendRow(string(rune('A'+i%50)), float64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildGroupIndex(tbl, []string{"g"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -6,8 +6,8 @@
 # guarantee, and the WAL that crash recovery rides on) must not lose
 # test coverage — a new engine (e.g. the budget autoscaler) cannot land
 # untested. Floors sit at the coverage measured when each gate was last
-# set — the low end of three runs: core 95.4% (re-set when the
-# differential rounding oracle and the cached-β tests landed), table
+# set — the low end of three runs: core 96.2% (re-set when the
+# autoscale-probe references and the fresh-Plan race guard landed), table
 # 91.3% (re-set when AssignRange's memo and its tests landed), plan
 # 90.3%, ingest 83.1% (set when the strata model and the kernel landed),
 # serve 91.8% (racing double-checked-lock branches move it up to 92.4%
@@ -35,7 +35,7 @@ check() {
     fi
 }
 
-check ./internal/core 94.9
+check ./internal/core 95.7
 check ./internal/table 90.8
 check ./internal/serve 91.3
 check ./internal/plan 89.8
