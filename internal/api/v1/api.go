@@ -8,9 +8,11 @@
 // private structs.
 //
 // The package is pure data: no HTTP, no registry imports, no behavior
-// beyond JSON tags, the error-code table (error.go) and the route
-// table (routes.go). v2, if it ever exists, is a sibling package — v1
-// stays frozen for old clients.
+// beyond JSON tags, the error-code table (error.go), the route table
+// (routes.go) and one codec (codec.go): a hand encoder and decoder for
+// QueryResponse, the body that grows with the answer, held byte for
+// byte and value for value to encoding/json. v2, if it ever exists, is
+// a sibling package — v1 stays frozen for old clients.
 package v1
 
 import "time"

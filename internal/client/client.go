@@ -144,16 +144,46 @@ func (c *Client) attempt(ctx context.Context, method, path, reqID string, data [
 		// the retry loop checks ctx itself, so cancellation stops here
 		return fmt.Errorf("client: %s %s: %w", method, path, err), true
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// drain what the decoder left (a trailing newline, a chunked
+		// terminator) so the transport can reuse the connection
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return decodeError(resp), retryableStatus(resp.StatusCode)
 	}
 	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := decodeBody(resp, out); err != nil {
 			return fmt.Errorf("client: decoding %s %s response: %w", method, path, err), false
 		}
 	}
 	return nil, false
+}
+
+// maxPresize caps how far Content-Length presizes a query answer's
+// buffer, so a wrong header cannot allocate before the bytes arrive.
+// 16 MiB is over ten times the benchmark's widest answer (1.4 MB); a
+// larger body still reads whole, the buffer growing as bytes arrive.
+const maxPresize = 16 << 20
+
+// decodeBody decodes a 2xx body into out. A query answer, the one body
+// that grows with the data, is read whole (presized from
+// Content-Length) and decoded by the wire contract's hand decoder;
+// every other body streams through encoding/json.
+func decodeBody(resp *http.Response, out any) error {
+	qr, ok := out.(*apiv1.QueryResponse)
+	if !ok {
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return apiv1.DecodeQueryResponse(buf.Bytes(), qr)
 }
 
 // decodeError turns a non-2xx response into an *APIError. A body that

@@ -4,10 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	apiv1 "repro/internal/api/v1"
@@ -410,5 +415,84 @@ func TestClientRequestIDOnErrors(t *testing.T) {
 	}
 	if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(ae.RequestID) {
 		t.Fatalf("real-server APIError.RequestID = %q, want 16 hex chars", ae.RequestID)
+	}
+}
+
+// The client must leave each connection reusable: a body the decoder
+// stops short of (json.Decoder leaves the trailing newline; a chunked
+// body its terminator) is drained before Close, or the transport
+// drops the connection and every call pays a new TCP handshake.
+func TestClientReusesConnection(t *testing.T) {
+	var groups []apiv1.Group
+	var samples []apiv1.Sample
+	for i := 0; i < 200; i++ {
+		groups = append(groups, apiv1.Group{Key: []string{fmt.Sprint("region-", i)}, Aggs: apiv1.Float64s([]float64{float64(i) / 3})})
+		samples = append(samples, apiv1.Sample{Key: fmt.Sprint("sample-", i), Table: "sales", GroupBy: []string{"region"}})
+	}
+	bodies := map[string]any{
+		apiv1.Path(apiv1.RouteQuery):       apiv1.QueryResponse{Table: "sales", Sets: [][]string{{"region"}}, Groups: groups},
+		apiv1.Path(apiv1.RouteListSamples): apiv1.SamplesList{Samples: samples},
+	}
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		data, err := json.Marshal(bodies[r.URL.Path])
+		if err != nil || len(data) < 8<<10 {
+			t.Errorf("%s: body of %d bytes (err %v), want > 8 KB", r.URL.Path, len(data), err)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(bodies[r.URL.Path]) // chunked: no Content-Length
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c, err := client.New(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		if resp, err := c.Query(ctx, apiv1.QueryRequest{SQL: "SELECT 1"}); err != nil || len(resp.Groups) != len(groups) {
+			t.Fatalf("Query: %v", err)
+		}
+		if list, err := c.Samples(ctx); err != nil || len(list.Samples) != len(samples) {
+			t.Fatalf("Samples: %v", err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("40 sequential calls opened %d connections, want 1", n)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestQueryPresizeIsCapped: a Content-Length far above the body (a
+// wrong header, a misbehaving proxy) must not make Query allocate it
+// before any byte arrives.
+func TestQueryPresizeIsCapped(t *testing.T) {
+	const claimed = 128 << 20
+	body := `{"table":"sales","exact":true,"sets":[["region"]],"agg_labels":["AVG(amount)"],"groups":[{"set":0,"key":["NA"],"aggs":[1.5]}]}`
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {"application/json"}},
+			ContentLength: claimed, Body: io.NopCloser(strings.NewReader(body)), Request: r}, nil
+	})}
+	c, err := client.New("http://cvserve.test", hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := c.Query(context.Background(), apiv1.QueryRequest{SQL: "SELECT 1"})
+	runtime.ReadMemStats(&after)
+	if err != nil || len(resp.Groups) != 1 {
+		t.Fatalf("Query: %+v, %v", resp, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= claimed/2 {
+		t.Fatalf("a %d B body claiming %d B allocated %d B", len(body), claimed, n)
 	}
 }

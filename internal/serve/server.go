@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"mime"
 	"net/http"
 	"runtime"
@@ -879,7 +880,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Exact:     ans.Entry == nil,
 		Sets:      ans.Result.Sets,
 		AggLabels: ans.Result.AggLabels,
-		Groups:    make([]apiv1.Group, len(ans.Result.Rows)),
 	}
 	if ans.Entry != nil {
 		resp.SampleKey = ans.Entry.Key
@@ -912,32 +912,57 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Plan = ans.Plan.Explain(in)
 	}
-	// compare mode: index the exact answer once (O(G)), then O(1) per
-	// served group — never the per-group Lookup scan.
-	var exactIdx map[string][]float64
+	groups := &wireGroups{rows: ans.Result.Rows}
 	if ans.ExactResult != nil {
-		exactIdx = ans.ExactResult.Index()
-	}
-	for i, row := range ans.Result.Rows {
-		g := apiv1.Group{Set: row.Set, Key: row.Key, Aggs: apiv1.Float64s(row.Aggs)}
-		if row.SE != nil {
-			g.SE = apiv1.Float64s(row.SE)
-		}
-		if exactIdx != nil {
-			want, ok := exactIdx[exec.KeyOf(row.Set, row.Key)]
-			rel := make([]*float64, len(row.Aggs))
-			for j, got := range row.Aggs {
-				if ok && j < len(want) {
-					rel[j] = apiv1.Float64(metrics.RelativeError(want[j], got))
-				}
-			}
-			g.RelErr = rel
-		}
-		resp.Groups[i] = g
+		// compare mode: index the exact answer once (O(G)), then O(1)
+		// per served group — never the per-group Lookup scan
+		groups.exact = ans.ExactResult.Index()
 	}
 	if req.Debug {
 		wt := traceToWire(tr.Snapshot())
 		resp.Trace = &wt
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// one buffer sized from the answer (MaxGroupBytes is measured on
+	// the benchmark's tiles), one Write
+	size := apiv1.AnswerHeadBytes + apiv1.MaxGroupBytes*len(ans.Result.Rows)
+	body, err := apiv1.AppendQueryResponse(make([]byte, 0, size), &resp, groups)
+	if err != nil {
+		writeError(w, apiv1.CodeQueryFailed, "encoding the answer: %v", err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write means the client is gone; nobody is left to tell
+}
+
+// wireGroups is a result's rows in the wire encoder's flat form
+// (apiv1.GroupSource): no []apiv1.Group, no pointer per cell. In
+// compare mode each group's relative errors come from the exact
+// answer's index; a group or aggregate the exact answer lacks reads
+// NaN, which encodes as null.
+type wireGroups struct {
+	rows  []exec.Row
+	exact map[string][]float64
+	rel   []float64 // scratch: one group's relative errors
+}
+
+func (g *wireGroups) Len() int { return len(g.rows) }
+
+func (g *wireGroups) Group(i int) (set int, key []string, aggs, se, relErr []float64) {
+	row := &g.rows[i]
+	if g.exact == nil {
+		return row.Set, row.Key, row.Aggs, row.SE, nil
+	}
+	want, ok := g.exact[exec.KeyOf(row.Set, row.Key)]
+	g.rel = g.rel[:0]
+	for j, got := range row.Aggs {
+		v := math.NaN()
+		if ok && j < len(want) {
+			v = metrics.RelativeError(want[j], got)
+		}
+		g.rel = append(g.rel, v)
+	}
+	return row.Set, row.Key, row.Aggs, row.SE, g.rel
 }

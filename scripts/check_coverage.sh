@@ -3,16 +3,18 @@
 # (the CVOPT core, the grouping kernel in table that the planner's
 # bit-exactness and every stratum id rest on, the serving layer, the
 # physical planner, the ingest path that publishes the streaming
-# guarantee, and the WAL that crash recovery rides on) must not lose
-# test coverage — a new engine (e.g. the budget autoscaler) cannot land
-# untested. Floors sit at the coverage measured when each gate was last
+# guarantee, the WAL that crash recovery rides on, and the wire
+# contract's hand codec for query answers with the typed client that
+# decodes them) must not lose test coverage — a new engine (e.g. the
+# budget autoscaler) cannot land untested. Floors sit at the coverage measured when each gate was last
 # set — the low end of three runs: core 96.2% (re-set when the
 # autoscale-probe references and the fresh-Plan race guard landed), table
 # 91.3% (re-set when AssignRange's memo and its tests landed), plan
 # 90.3%, ingest 83.1% (set when the strata model and the kernel landed),
 # serve 91.8% (racing double-checked-lock branches move it up to 92.4%
-# run to run), wal 88.8%, qos 99.5% — minus half a point of refactoring
-# headroom.
+# run to run), wal 88.8%, qos 99.5%, api/v1 97.6% and client 94.9% (both
+# set when the QueryResponse codec landed) — minus half a point of
+# refactoring headroom.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,5 +44,7 @@ check ./internal/plan 89.8
 check ./internal/ingest 82.6
 check ./internal/wal 88.0
 check ./internal/qos 99.0
+check ./internal/api/v1 97.1
+check ./internal/client 94.4
 
 exit "$fail"
